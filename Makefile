@@ -2,17 +2,16 @@
 
 GO ?= go
 
-.PHONY: check vet build race test bench-smoke bench-micro bench-record serve-smoke chaos obs-smoke shard-smoke spill-smoke cluster-smoke trace-cluster-smoke benchgate
+.PHONY: check vet build race test bench-smoke bench-micro bench-record serve-smoke chaos obs-smoke spill-smoke cluster-smoke trace-cluster-smoke benchgate
 
 ## check: full gate — vet, build, the test suite under the race detector,
 ## the microbenchmark compile/run smoke, the chaos gate (fault injection,
 ## fuzzing, crash recovery), the observability smoke (span traces), the
-## sharded-replay smoke (byte-identical figures at -shards 4 under -race),
-## the trace-spill smoke (tiny -trace-budget forcing disk spill), the
+## trace-spill smoke (tiny -trace-budget forcing disk spill), the
 ## 3-node cluster smoke (routing, coalescing, owner kill), the distributed
 ## tracing smoke (one cross-node trace through tracelint -cluster), and the
 ## perf regression gate against the committed BENCH baseline.
-check: vet build race bench-micro chaos obs-smoke shard-smoke spill-smoke cluster-smoke trace-cluster-smoke benchgate
+check: vet build race bench-micro chaos obs-smoke spill-smoke cluster-smoke trace-cluster-smoke benchgate
 
 ## vet: static checks — go vet plus a gofmt cleanliness gate (gofmt ships
 ## with the toolchain, so this adds no dependency).
@@ -58,14 +57,6 @@ serve-smoke:
 ## emitted Perfetto trace (balanced events, category nesting) via tracelint.
 obs-smoke:
 	sh scripts/obs_smoke.sh
-
-## shard-smoke: run a small figure with sharded replay under the race
-## detector. -parallel 1 keeps the cell matrix serial so the shard count is
-## honored exactly even on a small GOMAXPROCS; the equivalence tests in
-## internal/engine and internal/experiments already run under `race`, so
-## this exercises the CLI wiring end to end.
-shard-smoke:
-	$(GO) run -race ./cmd/gpsbench -fig 9 -iters 2 -parallel 1 -shards 4 -json /tmp/gpsbench-shard-smoke.json
 
 ## spill-smoke: run a small figure with a trace budget far below any quick
 ## trace's compressed footprint, so the cache spills every trace to disk and

@@ -10,7 +10,6 @@
 //	gpsd -workers 4 -queue 32           # more concurrency, deeper queue
 //	gpsd -job-timeout 5m -drain 30s     # per-job cap, shutdown drain budget
 //	gpsd -parallel 8                    # simulation cells per job
-//	gpsd -shards 4                      # goroutines per structural replay
 //	gpsd -journal gpsd.journal          # durable job log; crash recovery
 //	gpsd -job-retries 3                 # attempts per job on transient failure
 //	gpsd -pprof 127.0.0.1:6060          # net/http/pprof on a separate listener
@@ -42,7 +41,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -83,7 +81,6 @@ func main() {
 		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "per-job execution cap (0 = unlimited)")
 		drain      = flag.Duration("drain", 30*time.Second, "shutdown drain budget for running jobs")
 		parallel   = flag.Int("parallel", 0, "simulation worker goroutines per job (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "goroutines per structural replay; results are byte-identical at any count, capped so jobs x cells x shards fits GOMAXPROCS")
 		cacheN     = flag.Int("cache", 256, "content-addressed result cache entries")
 		journalP   = flag.String("journal", "", "job journal path; enables crash recovery (empty = no journal)")
 		jobRetries = flag.Int("job-retries", 3, "attempts per job on transient failure")
@@ -155,23 +152,6 @@ func main() {
 	}
 
 	experiments.SetParallelism(*parallel)
-	// Shards compose with two outer levels of concurrency here: concurrent
-	// jobs and cell workers per job. When those already cover the machine the
-	// shard count is capped to keep the product within GOMAXPROCS; a serial
-	// service (-workers 1 -parallel 1) honors -shards exactly. Results are
-	// byte-identical either way — only the schedule changes.
-	shardCount := *shards
-	if outer := *workers * experiments.Parallelism(); outer > 1 && shardCount > 1 {
-		if bound := runtime.GOMAXPROCS(0) / outer; shardCount > bound {
-			if bound < 1 {
-				bound = 1
-			}
-			fmt.Fprintf(os.Stderr, "gpsd: capping -shards %d to %d (%d jobs x %d cell workers on GOMAXPROCS=%d)\n",
-				shardCount, bound, *workers, experiments.Parallelism(), runtime.GOMAXPROCS(0))
-			shardCount = bound
-		}
-	}
-	experiments.SetShards(shardCount)
 	if *budget > 0 {
 		experiments.Default.SetTraceBudget(uint64(*budget))
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"gps/internal/memsys"
 )
@@ -80,25 +79,6 @@ func (t *AccessTracker) RecordTLBMiss(gpu int, vpn memsys.VPN) {
 		t.bitmaps[gpu][word] |= 1 << bit
 		t.recorded++
 	}
-}
-
-// Merge folds another tracker's bitmaps into t. Both trackers must cover
-// the same range for the same GPU count. Sharded replay gives each shard a
-// private tracker and merges them at the profiling barrier; because the
-// merge ORs bitmaps and recomputes the distinct-bit count, the result is
-// identical to recording every miss on one tracker.
-func (t *AccessTracker) Merge(o *AccessTracker) {
-	if t.baseVPN != o.baseVPN || t.pages != o.pages || len(t.bitmaps) != len(o.bitmaps) {
-		panic("core: merging trackers over different ranges")
-	}
-	var recorded uint64
-	for g := range t.bitmaps {
-		for w := range t.bitmaps[g] {
-			t.bitmaps[g][w] |= o.bitmaps[g][w]
-			recorded += uint64(bits.OnesCount64(t.bitmaps[g][w]))
-		}
-	}
-	t.recorded = recorded
 }
 
 // Touched reports whether gpu accessed vpn during the last profiling phase.

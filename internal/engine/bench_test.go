@@ -39,32 +39,6 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRunSharded replays a 16-GPU HIT trace through GPS at
-// several shard counts. The shards=1 case goes through the sharded entry
-// point but falls back to the sequential path, so the spread between
-// shards=1 and shards=8 is the parallel speedup (plus fork/merge overhead);
-// on a single-core box expect the overhead only.
-func BenchmarkEngineRunSharded(b *testing.B) {
-	cfg := workload.Config{NumGPUs: 16, Iterations: 2, Scale: 1, Seed: 1}
-	spec, err := workload.ByName("hit")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := spec.Build(cfg)
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("hit/gps/shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := paradigm.New(paradigm.KindGPS, prog, paradigm.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				engine.RunSharded(prog, m, shards)
-			}
-		})
-	}
-}
-
 // BenchmarkEngineRunStorage pits the two trace storage forms against each
 // other on the same materialized program (mirroring the runner's trace
 // cache): flat []Access replay versus columnar block decode. The columnar

@@ -39,32 +39,6 @@ func TestRunColumnarMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestRunShardedColumnarMatchesFlat checks the sharded replay path decodes
-// blocks identically on both shard axes and at several widths.
-func TestRunShardedColumnarMatchesFlat(t *testing.T) {
-	flat := twoGPUProgram()
-	col := trace.Columnize(flat)
-	spilled := trace.Columnize(flat)
-	sf, err := trace.NewSpillFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := spilled.Spill(sf); err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 8} {
-		m := &recordingModel{}
-		want := RunSharded(flat, m, shards)
-		for name, p := range map[string]trace.Program{"columnar": col, "spilled": spilled} {
-			m2 := &recordingModel{}
-			got := RunSharded(p, m2, shards)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d: %s result diverged from flat", shards, name)
-			}
-		}
-	}
-}
-
 // TestRunPanicsOnUnreadableBlock documents the failure mode: a block that can
 // no longer be fetched panics out of the replay loop (the experiment runner's
 // fences turn this into a typed cell error).

@@ -14,8 +14,8 @@ const _ = uint(-(trace.BlockAccesses % chunk))
 // regardless of storage form: flat kernels are sliced directly; columnar
 // kernels decode one block at a time into the cursor's private decoder
 // buffer, so a full []Access is never materialized during replay. Each
-// kernel slot in a replay (and each shard) owns its own cursor, because the
-// round-robin revisits kernels while their neighbors' windows are live.
+// kernel slot in a replay owns its own cursor, because the round-robin
+// revisits kernels while their neighbors' windows are live.
 type blockCursor struct {
 	flat       []trace.Access
 	col        *trace.ColumnAccesses

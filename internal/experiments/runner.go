@@ -71,7 +71,6 @@ type CacheStats struct {
 	SpillReadBytes    uint64 // bytes read back from the spill file
 	EngineRuns        uint64 // structural replays executed
 	EngineHits        uint64 // structural results served from cache
-	ShardedRuns       uint64 // structural replays executed with >1 shard
 	BaselineRuns      uint64 // single-GPU baseline simulations executed
 	BaselineHits      uint64 // baseline requests served from cache
 }
@@ -124,7 +123,6 @@ type resultEntry struct {
 // trace/baseline cache. The zero value is not usable; call NewRunner.
 type Runner struct {
 	workers int64 // 0 means GOMAXPROCS, resolved at use
-	shards  int64 // shards per structural replay; <= 1 means sequential
 
 	resilienceState // panic fences, cell retry policy, fault hook
 
@@ -150,7 +148,6 @@ type Runner struct {
 	traceSpills    atomic.Uint64
 	engineRuns     atomic.Uint64
 	engineHits     atomic.Uint64
-	shardedRuns    atomic.Uint64
 	baselineRuns   atomic.Uint64
 	baselineHits   atomic.Uint64
 }
@@ -187,12 +184,11 @@ func SetParallelism(n int) { Default.SetWorkers(n) }
 // Parallelism returns the resolved worker count of the default runner.
 func Parallelism() int { return Default.Workers() }
 
-// SetShards sets the structural replay shard count of the package default
-// runner; see Runner.SetShards.
-func SetShards(n int) { Default.SetShards(n) }
-
-// Shards returns the shard count of the default runner.
-func Shards() int { return Default.Shards() }
+// Shards is always 1: every structural replay runs serially on one cell
+// worker, and parallelism comes only from the runner's cell pool. The name
+// stays because reports keep their "shards":1 key and the perfbench harness
+// calls it.
+func Shards() int { return 1 }
 
 // SetWorkers sets the pool size; n <= 0 means GOMAXPROCS.
 func (r *Runner) SetWorkers(n int) {
@@ -207,27 +203,6 @@ func (r *Runner) Workers() int {
 	n := int(atomic.LoadInt64(&r.workers))
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// SetShards sets how many goroutines each structural replay shards across
-// (engine.RunSharded); n <= 1 means sequential replay. Rendered output is
-// byte-identical at any shard count, so this is purely a latency knob: the
-// count is honored exactly, and bounding shards x workers by GOMAXPROCS is
-// the caller's policy (the CLIs clamp, tests pin exact counts).
-func (r *Runner) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	atomic.StoreInt64(&r.shards, int64(n))
-}
-
-// Shards returns the configured shard count (at least 1).
-func (r *Runner) Shards() int {
-	n := int(atomic.LoadInt64(&r.shards))
-	if n < 1 {
-		n = 1
 	}
 	return n
 }
@@ -256,7 +231,6 @@ func (r *Runner) CacheStats() CacheStats {
 		TraceSpills:       r.traceSpills.Load(),
 		EngineRuns:        r.engineRuns.Load(),
 		EngineHits:        r.engineHits.Load(),
-		ShardedRuns:       r.shardedRuns.Load(),
 		BaselineRuns:      r.baselineRuns.Load(),
 		BaselineHits:      r.baselineHits.Load(),
 	}
@@ -288,7 +262,6 @@ func (r *Runner) ResetCaches() {
 	r.traceSpills.Store(0)
 	r.engineRuns.Store(0)
 	r.engineHits.Store(0)
-	r.shardedRuns.Store(0)
 	r.baselineRuns.Store(0)
 	r.baselineHits.Store(0)
 }
@@ -478,15 +451,11 @@ func (r *Runner) structural(ctx context.Context, app string, wcfg workload.Confi
 			e.err = err
 			return
 		}
-		shards := r.Shards()
 		sctx, span := obs.StartSpan(ctx, obs.CatPhase, "engine-replay",
 			"app", app, "paradigm", kind.String())
-		e.res = engine.RunShardedObserved(prog, model, shards, enginePhaseSpans(sctx, shards))
+		e.res = engine.RunObserved(prog, model, enginePhaseSpans(sctx))
 		span.End()
 		r.engineRuns.Add(1)
-		if shards > 1 {
-			r.shardedRuns.Add(1)
-		}
 	})
 	return e.res, e.err
 }
@@ -494,18 +463,10 @@ func (r *Runner) structural(ctx context.Context, app string, wcfg workload.Confi
 // enginePhaseSpans returns a PhaseObserver that records one engine-phase
 // span per replay phase on the enclosing span's track, or nil when ctx
 // carries no tracer — the nil keeps the replay loop's per-phase cost at a
-// single nil check. With shards > 1 the observer also implements
-// engine.ShardObserver, bracketing each shard's slice of the phase with a
-// span on its own track.
-func enginePhaseSpans(ctx context.Context, shards int) engine.PhaseObserver {
+// single nil check.
+func enginePhaseSpans(ctx context.Context) engine.PhaseObserver {
 	if obs.TracerFrom(ctx) == nil {
 		return nil
-	}
-	if shards > 1 {
-		return &shardSpanObserver{
-			phaseSpanObserver: phaseSpanObserver{ctx: ctx},
-			spans:             make([]*obs.Span, shards),
-		}
 	}
 	return &phaseSpanObserver{ctx: ctx}
 }
@@ -525,24 +486,6 @@ func (o *phaseSpanObserver) PhaseStart(index, kernels int) {
 func (o *phaseSpanObserver) PhaseEnd(int) {
 	o.span.End()
 	o.span = nil
-}
-
-// shardSpanObserver adds per-shard spans to the phase spans. Each shard
-// goroutine writes only its own slice slot (StartSpanTrack is safe for
-// concurrent use), so no lock is needed.
-type shardSpanObserver struct {
-	phaseSpanObserver
-	spans []*obs.Span
-}
-
-func (o *shardSpanObserver) ShardStart(phase, shard int) {
-	_, o.spans[shard] = obs.StartSpanTrack(o.ctx, obs.CatEnginePhase,
-		"phase-"+strconv.Itoa(phase)+"/shard-"+strconv.Itoa(shard))
-}
-
-func (o *shardSpanObserver) ShardEnd(phase, shard int) {
-	o.spans[shard].End()
-	o.spans[shard] = nil
 }
 
 // cellObserverKey carries an optional per-cell callback in a Context; see

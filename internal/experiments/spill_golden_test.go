@@ -10,9 +10,10 @@ import (
 
 // Spilling trace blocks to disk is a storage change, not a modeling change:
 // with a budget tiny enough that every trace is pushed out to the spill file,
-// the figures must still render byte-identically at every shard count, and
-// the run must actually have exercised the spill tier (spills recorded,
-// blocks read back from disk).
+// the figures must still render byte-identically at every runner worker
+// count, and the run must actually have exercised the spill tier (spills
+// recorded, blocks read back from disk). With two workers, cells spill and
+// read back traces concurrently.
 func TestSpilledRenderByteIdentical(t *testing.T) {
 	renders := []struct {
 		golden string
@@ -43,10 +44,9 @@ func TestSpilledRenderByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shardN := range []int{1, 2, 8} {
-			t.Run(tc.golden+"/shards="+strconv.Itoa(shardN), func(t *testing.T) {
-				Default = NewRunner(1)
-				Default.SetShards(shardN)
+		for _, workers := range []int{1, 2} {
+			t.Run(tc.golden+"/workers="+strconv.Itoa(workers), func(t *testing.T) {
+				Default = NewRunner(workers)
 				// Far below any quick trace's compressed footprint: every
 				// cached trace is forced through the spill path before the
 				// next cell replays it.

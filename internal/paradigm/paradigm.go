@@ -189,7 +189,6 @@ func New(kind Kind, prog trace.Program, cfg Config) (engine.Model, error) {
 type base struct {
 	name      string
 	meta      trace.Meta
-	cfg       Config
 	geom      memsys.Geometry
 	n         int
 	regions   *engine.RegionTable
@@ -206,7 +205,6 @@ func newBase(name string, meta trace.Meta, cfg Config) base {
 	return base{
 		name:      name,
 		meta:      meta,
-		cfg:       cfg,
 		geom:      geom,
 		n:         meta.NumGPUs,
 		regions:   engine.NewRegionTable(meta.Regions),

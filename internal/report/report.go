@@ -13,7 +13,7 @@ import (
 
 // Section records the wall clock one figure/table/study consumed, plus the
 // single slowest cell inside it — the tail that bounds the section's latency
-// at any worker count and the target the replay sharding attacks.
+// at any worker count.
 type Section struct {
 	Name           string  `json:"name"`
 	Seconds        float64 `json:"seconds"`
@@ -43,7 +43,7 @@ type Report struct {
 	VsNextBestX    float64 `json:"vs_next_best_x,omitempty"`
 
 	ParallelWorkers int                    `json:"parallel_workers"`
-	Shards          int                    `json:"shards,omitempty"`
+	Shards          int                    `json:"shards,omitempty"` // always 1; see experiments.Shards
 	TotalSeconds    float64                `json:"total_seconds"`
 	Sections        []Section              `json:"sections"`
 	Tables          []Table                `json:"tables,omitempty"`

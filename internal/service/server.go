@@ -385,16 +385,12 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func(c experiments.CacheStats) uint64 { return c.BaselineRuns })
 	cache("gps_runner_baseline_hits_total", "Baseline requests served from cache.",
 		func(c experiments.CacheStats) uint64 { return c.BaselineHits })
-	cache("gps_runner_sharded_replays_total", "Structural replays executed with more than one shard.",
-		func(c experiments.CacheStats) uint64 { return c.ShardedRuns })
 	cache("gps_runner_trace_spills_total", "Traces whose columnar blocks moved to the spill file.",
 		func(c experiments.CacheStats) uint64 { return c.TraceSpills })
 	cache("gps_runner_spill_block_reads_total", "Trace block reads served from the spill file.",
 		func(c experiments.CacheStats) uint64 { return c.SpillBlockReads })
 	cache("gps_runner_spill_read_bytes_total", "Bytes read back from the spill file.",
 		func(c experiments.CacheStats) uint64 { return c.SpillReadBytes })
-	reg.GaugeFunc("gps_runner_shards", "Goroutines per structural replay.",
-		func() float64 { return float64(experiments.Shards()) })
 	reg.GaugeFunc("gps_runner_trace_cache_bytes", "Approximate resident bytes of cached traces (compressed columnar blocks).",
 		func() float64 { return float64(experiments.Default.CacheStats().TraceBytes) })
 	reg.GaugeFunc("gps_runner_trace_logical_bytes", "Flat-layout bytes the resident traces would occupy uncompressed.",

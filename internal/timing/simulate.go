@@ -7,7 +7,6 @@ import (
 	"gps/internal/engine"
 	"gps/internal/gpuconf"
 	"gps/internal/interconnect"
-	"gps/internal/sim"
 )
 
 // Config parameterizes the timing model.
@@ -115,7 +114,7 @@ func Simulate(res *engine.Result, cfg Config) *Report {
 	l2Hit := res.Meta.L2.HitRate(res.Meta.NumGPUs)
 
 	rep := &Report{}
-	eng := sim.NewEngine()
+	var total float64 // phases run back to back
 	linkBytes := map[interconnect.LinkID]float64{}
 	account := func(fs []*flow) {
 		if cfg.Fabric.Ideal() {
@@ -245,9 +244,7 @@ func Simulate(res *engine.Result, cfg Config) *Report {
 
 		pt.Duration = barrier + pt.BulkSpan + cfg.PhaseOverhead
 
-		// Advance the simulated timeline through this phase's milestones.
-		eng.After(sim.Duration(pt.Duration), func() {})
-		eng.Run()
+		total += pt.Duration
 
 		rep.Phases = append(rep.Phases, pt)
 		rep.ComputeBound += pt.KernelSpan
@@ -255,7 +252,7 @@ func Simulate(res *engine.Result, cfg Config) *Report {
 		rep.BulkTime += pt.BulkSpan
 		rep.Overhead += cfg.PhaseOverhead
 	}
-	rep.Total = float64(eng.Now())
+	rep.Total = total
 	rep.ProfilePhases = res.Meta.ProfilePhases
 	for id, b := range linkBytes {
 		rep.LinkTraffic = append(rep.LinkTraffic, LinkLoad{Name: cfg.Fabric.Link(id).Name, Bytes: b})

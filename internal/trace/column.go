@@ -480,9 +480,9 @@ func readVarint(data []byte, off int) (int64, int, error) {
 }
 
 // BlockDecoder decodes blocks into an internal reusable buffer, so steady-
-// state replay performs zero allocations. Each concurrent reader (engine
-// shard, scan) needs its own decoder; the decoded slice is valid until the
-// next Decode call on the same decoder.
+// state replay performs zero allocations. Each concurrent reader (a kernel
+// slot's replay cursor, a sharing scan) needs its own decoder; the decoded
+// slice is valid until the next Decode call on the same decoder.
 type BlockDecoder struct {
 	buf     []Access
 	scratch []byte

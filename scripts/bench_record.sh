@@ -5,9 +5,8 @@
 # two reports at the repo root:
 #
 #   BENCH_<n>.json           -parallel 1: single-threaded hot-path number
-#   BENCH_<n>_parallel.json  -parallel 0 -shards 4: the machine-saturating
-#                            configuration (cell workers compose with
-#                            replay shards, capped at GOMAXPROCS)
+#   BENCH_<n>_parallel.json  -parallel 0: the machine-saturating
+#                            configuration (one cell worker per GOMAXPROCS)
 #
 # Compare against the previous BENCH_*.json to see what a PR bought.
 #
@@ -25,6 +24,6 @@ go build -o "$workdir/gpsbench" ./cmd/gpsbench
 grep '^done in' "$workdir/stdout.txt" || true
 echo "wrote $out"
 
-"$workdir/gpsbench" -all -parallel 0 -shards 4 -json "$outp" >"$workdir/stdout_parallel.txt"
+"$workdir/gpsbench" -all -parallel 0 -json "$outp" >"$workdir/stdout_parallel.txt"
 grep '^done in' "$workdir/stdout_parallel.txt" || true
 echo "wrote $outp"
