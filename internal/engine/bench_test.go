@@ -39,6 +39,46 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineRunFused replays the six Figure 8 paradigms over one
+// columnar trace, as the experiment runner's trace cache holds it: once in
+// a single fused pass ("fused") and once as six separate passes
+// ("separate"). Their ratio is what fusing saves in the trace front end.
+func BenchmarkEngineRunFused(b *testing.B) {
+	kinds := paradigm.Figure8Kinds()
+	for _, app := range []string{"jacobi", "pagerank"} {
+		spec, err := workload.ByName(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog := trace.Collect(spec.Build(benchConfig))
+		models := func() []engine.Model {
+			ms := make([]engine.Model, len(kinds))
+			for i, kind := range kinds {
+				m, err := paradigm.New(kind, prog, paradigm.DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				ms[i] = m
+			}
+			return ms
+		}
+		b.Run(app+"/fused", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				engine.RunFused(prog, models(), nil)
+			}
+		})
+		b.Run(app+"/separate", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, m := range models() {
+					engine.Run(prog, m)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineRunStorage pits the two trace storage forms against each
 // other on the same materialized program (mirroring the runner's trace
 // cache): flat []Access replay versus columnar block decode. The columnar

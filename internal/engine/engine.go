@@ -147,9 +147,10 @@ type Model interface {
 	// BeginPhase announces the next phase; profiles is the output vector
 	// (one per GPU) the model accumulates traffic into.
 	BeginPhase(index int, profiles []Profile)
-	// Access processes one warp instruction by gpu whose SM coalescer
-	// produced the given line-aligned addresses.
-	Access(gpu int, a trace.Access, lines []uint64)
+	// Access processes the next chunk of gpu's instruction stream, in
+	// order. The batch is shared with the other models of a fused replay
+	// and reused after the call returns: models read it and keep nothing.
+	Access(gpu int, b *Batch)
 	// EndPhase is the global synchronization barrier ending the phase
 	// (implicit sys-scoped release of every grid).
 	EndPhase(index int)
@@ -169,26 +170,17 @@ type Batch struct {
 // LinesOf returns the coalesced lines of instruction i.
 func (b *Batch) LinesOf(i int) []uint64 { return b.Lines[b.Offs[i]:b.Offs[i+1]] }
 
-// BatchModel is an optional fast path: models that implement it receive a
-// whole chunk of instructions per call, so interface dispatch and per-call
-// setup (profile pointer, region/page caches) amortize across the chunk.
-// AccessBatch must be equivalent to calling Access per instruction in order.
-type BatchModel interface {
-	Model
-	AccessBatch(gpu int, b *Batch)
-}
-
 // chunk is the number of consecutive warp instructions one GPU executes
 // before the replay rotates to the next GPU's kernel, approximating the
 // concurrent interleaving of kernels that ran simultaneously on real
 // hardware. UM page thrashing in particular depends on this interleaving.
 const chunk = 64
 
-// PhaseObserver receives replay lifecycle events from RunObserved: a
-// start/end pair brackets every phase, in phase order. The observability
-// layer uses it to record per-phase spans with real durations; observers
-// must be cheap, they run on the replay hot path (once per phase, not per
-// access).
+// PhaseObserver receives replay lifecycle events from RunObserved and
+// RunFused: a start/end pair brackets every phase, in phase order. The
+// observability layer uses it to record per-phase spans with real
+// durations; observers must be cheap, they run on the replay hot path (once
+// per phase, not per access).
 type PhaseObserver interface {
 	PhaseStart(index, kernels int)
 	PhaseEnd(index int)
@@ -200,11 +192,22 @@ func Run(prog trace.Program, m Model) *Result { return RunObserved(prog, m, nil)
 // RunObserved is Run with an optional phase observer. A nil observer costs
 // one nil check per phase, so the uninstrumented path stays free.
 func RunObserved(prog trace.Program, m Model, po PhaseObserver) *Result {
+	return RunFused(prog, []Model{m}, po)[0]
+}
+
+// RunFused replays prog once for all of models: every chunk is decoded and
+// coalesced once, and the batch goes to each model in turn. Models share
+// nothing but the read-only batch, so results[i] equals Run(prog,
+// models[i]); the trace front end (block decode, coalescing) is paid once
+// instead of once per model.
+func RunFused(prog trace.Program, models []Model, po PhaseObserver) []*Result {
 	meta := prog.Meta()
 	n := meta.NumGPUs
-	res := &Result{Meta: meta, Paradigm: m.Name()}
+	results := make([]*Result, len(models))
+	for i, m := range models {
+		results[i] = &Result{Meta: meta, Paradigm: m.Name()}
+	}
 	exp := NewExpander(LineBytes)
-	bm, _ := m.(BatchModel)
 	var batch Batch
 
 	var cursors []int
@@ -213,17 +216,21 @@ func RunObserved(prog trace.Program, m Model, po PhaseObserver) *Result {
 		if po != nil {
 			po.PhaseStart(ph.Index, len(ph.Kernels))
 		}
-		profiles := newProfiles(n)
-		for _, k := range ph.Kernels {
-			profiles[k.GPU].ComputeOps += k.ComputeOps
-			profiles[k.GPU].LocalBytes += k.LocalStreamBytes
+		// Each model accumulates into its own profile vector, which lives on
+		// in its Result.
+		for i, m := range models {
+			profiles := newProfiles(n)
+			for _, k := range ph.Kernels {
+				profiles[k.GPU].ComputeOps += k.ComputeOps
+				profiles[k.GPU].LocalBytes += k.LocalStreamBytes
+			}
+			m.BeginPhase(ph.Index, profiles)
+			results[i].Phases = append(results[i].Phases, PhaseRecord{Index: ph.Index, Profiles: profiles})
 		}
-		m.BeginPhase(ph.Index, profiles)
 
 		// Round-robin the kernels' instruction streams in chunks. The cursor
 		// and block-reader scratch is reused across phases — each kernel slot
-		// keeps its own reader so decode buffers survive the interleaving —
-		// (profiles cannot be: they live on in the Result).
+		// keeps its own reader so decode buffers survive the interleaving.
 		if cap(cursors) < len(ph.Kernels) {
 			cursors = make([]int, len(ph.Kernels))
 		} else {
@@ -250,7 +257,6 @@ func RunObserved(prog trace.Program, m Model, po PhaseObserver) *Result {
 		}
 		for remaining > 0 {
 			for ki := range ph.Kernels {
-				k := &ph.Kernels[ki]
 				r := &rs[ki]
 				if cursors[ki] >= r.n {
 					continue
@@ -260,34 +266,33 @@ func RunObserved(prog trace.Program, m Model, po PhaseObserver) *Result {
 					end = r.n
 					remaining--
 				}
-				accs := r.window(cursors[ki], end)
-				if bm != nil {
-					batch.Accs = accs
-					batch.Offs = append(batch.Offs[:0], 0)
-					batch.Lines = batch.Lines[:0]
-					for _, a := range accs {
-						batch.Lines = exp.AppendLines(batch.Lines, a)
-						batch.Offs = append(batch.Offs, int32(len(batch.Lines)))
-					}
-					bm.AccessBatch(k.GPU, &batch)
-				} else {
-					for _, a := range accs {
-						m.Access(k.GPU, a, exp.Expand(a))
-					}
+				batch.Accs = r.window(cursors[ki], end)
+				batch.Offs = append(batch.Offs[:0], 0)
+				batch.Lines = batch.Lines[:0]
+				for _, a := range batch.Accs {
+					batch.Lines = exp.AppendLines(batch.Lines, a)
+					batch.Offs = append(batch.Offs, int32(len(batch.Lines)))
+				}
+				gpu := ph.Kernels[ki].GPU
+				for _, m := range models {
+					m.Access(gpu, &batch)
 				}
 				cursors[ki] = end
 			}
 		}
 
-		m.EndPhase(ph.Index)
-		res.Phases = append(res.Phases, PhaseRecord{Index: ph.Index, Profiles: profiles})
+		for _, m := range models {
+			m.EndPhase(ph.Index)
+		}
 		if po != nil {
 			po.PhaseEnd(ph.Index)
 		}
 		return true
 	})
-	m.Finish(res)
-	return res
+	for i, m := range models {
+		m.Finish(results[i])
+	}
+	return results
 }
 
 // LineBytes is the cache block size of the modeled GPU (Table 1).

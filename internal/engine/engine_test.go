@@ -28,9 +28,11 @@ func (m *recordingModel) BeginPhase(i int, profiles []Profile) {
 	m.phases = append(m.phases, i)
 	m.profiles = profiles
 }
-func (m *recordingModel) Access(gpu int, a trace.Access, lines []uint64) {
-	cp := append([]uint64{}, lines...)
-	m.accesses = append(m.accesses, recordedAccess{gpu: gpu, op: a.Op, lines: cp})
+func (m *recordingModel) Access(gpu int, b *Batch) {
+	for i, a := range b.Accs {
+		cp := append([]uint64{}, b.LinesOf(i)...)
+		m.accesses = append(m.accesses, recordedAccess{gpu: gpu, op: a.Op, lines: cp})
+	}
 }
 func (m *recordingModel) EndPhase(i int) { m.endPhases = append(m.endPhases, i) }
 func (m *recordingModel) Finish(*Result) { m.finished = true }

@@ -10,9 +10,9 @@ import (
 )
 
 // TestMatrixTrace: running a matrix under a tracer emits a structurally
-// valid trace with one span per cell on its own track and the
-// trace-build / engine-replay / render phases (plus per-phase engine
-// spans) nested inside.
+// valid trace with one span per cell and per replay group, each on its own
+// track, and the trace-build / engine-replay / render phases (plus
+// per-phase engine spans) nested inside.
 func TestMatrixTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
@@ -38,13 +38,15 @@ func TestMatrixTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateTrace: %v", err)
 	}
-	if sum.ByCat[obs.CatCell] != len(cells) {
-		t.Errorf("trace has %d cell spans, want %d (%v)", sum.ByCat[obs.CatCell], len(cells), sum.ByCat)
+	// Both cells replay one trace (same app/config), so one replay group —
+	// a cell-category span of its own — builds it and replays both
+	// paradigms in a single fused pass; then each cell renders. That is one
+	// trace-build, one engine-replay and a render per cell.
+	if want := len(cells) + 1; sum.ByCat[obs.CatCell] != want {
+		t.Errorf("trace has %d cell spans, want %d (%v)", sum.ByCat[obs.CatCell], want, sum.ByCat)
 	}
-	// Both cells share one trace build (same app/config) but replay and
-	// render separately: at least one trace-build span and a render per cell.
-	if sum.ByCat[obs.CatPhase] < len(cells)+1 {
-		t.Errorf("trace has %d phase spans, want >= %d (%v)", sum.ByCat[obs.CatPhase], len(cells)+1, sum.ByCat)
+	if want := len(cells) + 2; sum.ByCat[obs.CatPhase] != want {
+		t.Errorf("trace has %d phase spans, want %d (%v)", sum.ByCat[obs.CatPhase], want, sum.ByCat)
 	}
 	if sum.ByCat[obs.CatEnginePhase] == 0 {
 		t.Error("trace has no engine-phase spans")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -67,9 +68,33 @@ func panicError(p any) error {
 	return fmt.Errorf("panic: %v", p)
 }
 
+// PanicError is a panic recovered inside a cached computation — a trace
+// build, a structural replay or a baseline — and stored as the cache
+// entry's error, so every later request for the key fails the same way
+// instead of reading an entry the panic left empty. A matrix cell that
+// meets one fails with a CellError carrying the stack, as if it had
+// panicked itself.
+type PanicError struct {
+	Err   error  // the normalized panic value
+	Stack string // truncated stack of the panicking goroutine
+}
+
+func (e *PanicError) Error() string { return e.Err.Error() }
+
+func (e *PanicError) Unwrap() error { return e.Err }
+
+// recoverInto stores a panic in flight as a *PanicError in *err. Use it as
+// the deferred call itself (defer recoverInto(&err)): recover only works
+// there.
+func recoverInto(err *error) {
+	if p := recover(); p != nil {
+		*err = &PanicError{Err: panicError(p), Stack: truncatedStack()}
+	}
+}
+
 // ResilienceStats counts what the fence and the retry loop absorbed.
 type ResilienceStats struct {
-	CellPanics  uint64 `json:"cell_panics"`  // panics converted to CellError
+	CellPanics  uint64 `json:"cell_panics"`  // panics (and cached PanicErrors) converted to CellError
 	CellRetries uint64 `json:"cell_retries"` // extra attempts after transient failures
 }
 
@@ -138,7 +163,8 @@ func (r *Runner) runCellResilient(ctx context.Context, i int, desc func(int) str
 
 // fencedAttempt runs fn(ctx, i) once: the fault hook fires first (its
 // panics exercise the same fence as real ones), then the work, with any
-// panic converted to a typed CellError carrying a truncated stack.
+// panic — or a PanicError cached by an earlier panic on a key the cell
+// needs — converted to a typed CellError carrying a truncated stack.
 func (r *Runner) fencedAttempt(ctx context.Context, i int, desc func(int) string, fn func(context.Context, int) error) (err error) {
 	describe := func() string {
 		if desc == nil {
@@ -157,7 +183,13 @@ func (r *Runner) fencedAttempt(ctx context.Context, i int, desc func(int) string
 			return &CellError{Index: i, Desc: describe(), Err: herr}
 		}
 	}
-	return fn(ctx, i)
+	err = fn(ctx, i)
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		r.cellPanics.Add(1)
+		return &CellError{Index: i, Desc: describe(), Stack: pe.Stack, Err: pe.Err}
+	}
+	return err
 }
 
 // resilienceState is embedded in Runner; split out so runner.go stays

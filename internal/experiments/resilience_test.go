@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -141,5 +142,95 @@ func TestCellErrorNamesTheCell(t *testing.T) {
 	}
 	if !strings.Contains(ce.Desc, "jacobi/GPS/2gpu") {
 		t.Errorf("CellError.Desc = %q, want the cell config", ce.Desc)
+	}
+}
+
+// TestReplayPanicIsCachedAsError: a panic inside a cached computation —
+// here replaying a spilled trace whose spill file became unreadable — is
+// stored as the cache entry's typed error. Every cell that needs the key
+// then fails with that same error, at any worker count, whether it comes
+// through a matrix (as a CellError naming the cell) or RunCell, and the
+// baseline never reads as a successful zero.
+func TestReplayPanicIsCachedAsError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation")
+	}
+	opt := quick()
+	pcfg := paradigm.DefaultConfig()
+	cells := []Cell{
+		{App: "jacobi", Kind: paradigm.KindGPS, GPUs: 2, Fab: MainFabric(2), Opt: opt, Cfg: pcfg},
+		{App: "jacobi", Kind: paradigm.KindRDL, GPUs: 2, Fab: MainFabric(2), Opt: opt, Cfg: pcfg},
+	}
+	// brokenRunner caches the jacobi trace for gpus spilled to a spill file
+	// that is then closed, so replaying it panics on the first block read.
+	brokenRunner := func(t *testing.T, workers, gpus int) *Runner {
+		r := NewRunner(workers)
+		r.SetCellRetry(retry.Policy{MaxAttempts: 1})
+		r.SetTraceBudget(1) // the trace spills as soon as it is built
+		if _, err := r.Trace("jacobi", opt.withDefaults().workloadConfig(gpus)); err != nil {
+			t.Fatal(err)
+		}
+		r.mu.Lock()
+		sf := r.spill
+		r.mu.Unlock()
+		if sf == nil {
+			t.Fatal("trace was not spilled")
+		}
+		sf.Close()
+		return r
+	}
+	isDecodePanic := func(ce *CellError) bool {
+		return ce.Stack != "" && strings.Contains(ce.Err.Error(), "decoding trace block")
+	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cells/workers=%d", workers), func(t *testing.T) {
+			r := brokenRunner(t, workers, 2)
+			_, err := r.RunMatrix(context.Background(), cells)
+			var ce *CellError
+			if !errors.As(err, &ce) || ce.Index != 0 || ce.Desc != cells[0].describe() || !isDecodePanic(ce) {
+				t.Fatalf("matrix err = %v, want cell 0's CellError for the block decode panic", err)
+			}
+			// Both cells need keys of the one failed replay group: each fails
+			// with the group's error, identically on every request.
+			var first error
+			for round := 0; round < 2; round++ {
+				for _, c := range cells {
+					rep, res, err := r.RunCell(c)
+					var pe *PanicError
+					if !errors.As(err, &pe) || rep != nil || res != nil {
+						t.Fatalf("RunCell(%s) = %v, %v, %v; want the cached *PanicError", c.describe(), rep, res, err)
+					}
+					if first == nil {
+						first = err
+					} else if err != first {
+						t.Fatalf("RunCell(%s) err = %v, want the group's error %v", c.describe(), err, first)
+					}
+				}
+			}
+			_, err = r.RunMatrix(context.Background(), cells[1:])
+			if !errors.As(err, &ce) || ce.Index != 0 || ce.Desc != cells[1].describe() || ce.Err.Error() != first.Error() {
+				t.Fatalf("re-run matrix err = %v, want the CellError of %s wrapping %v", err, cells[1].describe(), first)
+			}
+		})
+		t.Run(fmt.Sprintf("baseline/workers=%d", workers), func(t *testing.T) {
+			r := brokenRunner(t, workers, 1)
+			// No cells: their trace would evict the broken one under the tiny
+			// budget, and a rebuilt trace replays fine.
+			_, _, err := r.RunMatrixWithBaselines(context.Background(), []string{"jacobi"}, opt, pcfg, nil)
+			var ce *CellError
+			if !errors.As(err, &ce) || ce.Index != 0 || ce.Desc != "baseline/jacobi" || !isDecodePanic(ce) {
+				t.Fatalf("matrix err = %v, want the baseline's CellError for the block decode panic", err)
+			}
+			for round := 0; round < 2; round++ {
+				v, err := r.Baseline("jacobi", opt, pcfg)
+				var pe *PanicError
+				if !errors.As(err, &pe) {
+					t.Fatalf("Baseline = (%v, %v) after its replay panicked, want the cached *PanicError", v, err)
+				}
+				if _, err := r.Speedup("jacobi", paradigm.KindGPS, 2, MainFabric(2), opt, pcfg); !errors.As(err, &pe) {
+					t.Fatalf("Speedup err = %v over a failed baseline, want the cached *PanicError", err)
+				}
+			}
+		})
 	}
 }

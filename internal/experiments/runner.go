@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,15 +23,19 @@ import (
 // The experiment suite is an embarrassingly parallel matrix of independent
 // (app x paradigm x fabric x GPU-count) simulations, and most cells agree on
 // the trace they replay and on the single-GPU baseline they normalize
-// against. Runner exploits both facts: a worker pool executes cells across
-// goroutines with results assembled in deterministic cell order (parallel
-// output is byte-identical to serial), while three memoizing caches make
-// sure every trace is built once, every structural replay runs once (the
-// engine never sees the fabric, so fabric sweeps share it), and every
-// baseline is simulated once per configuration. Cells share only immutable
-// state — the Recorded trace, the structural Result and the Fabric
-// description — and each gets its own paradigm Model, so runs are race-free
-// by construction.
+// against. Runner exploits both facts in two stages. First it plans the
+// matrix's uncached structural replays and groups them by trace: each group
+// is one pool task that builds (or fetches) its trace once and replays it
+// once for every paradigm in the group (engine.RunFused), so the trace front
+// end is paid per trace, not per paradigm. Then each cell only prices its
+// fabric, on the same pool, with results assembled in deterministic cell
+// order (parallel output is byte-identical to serial). Three memoizing
+// caches make sure every trace is built once, every structural replay runs
+// once (the engine never sees the fabric, so fabric sweeps share it), and
+// every baseline is simulated once per configuration. Cells share only
+// immutable state — the Recorded trace, the structural Result and the
+// Fabric description — and each structural key gets its own paradigm
+// Model, so runs are race-free by construction.
 
 // Cell is one independent experiment: app's trace replayed under Kind on
 // GPUs devices, priced on Fab.
@@ -57,8 +63,12 @@ type CellResult struct {
 // built exactly once per (app, workload.Config) and every baseline simulated
 // exactly once per (app, Options, paradigm.Config).
 type CacheStats struct {
-	TraceBuilds    uint64 // traces generated and materialized
-	TraceHits      uint64 // trace requests served from cache
+	TraceBuilds uint64 // traces generated and materialized
+	// TraceHits counts trace requests served from cache. A trace is
+	// requested once per replay group (one fused replay of every uncached
+	// paradigm on it), not once per cell or paradigm, so a cold matrix
+	// whose traces are each built once has no hits at all.
+	TraceHits      uint64
 	TraceEvictions uint64 // traces dropped to respect the memory budget
 	TraceBytes     uint64 // approximate bytes of resident cached traces (compressed)
 	// TraceLogicalBytes is what the resident traces would occupy in the flat
@@ -98,6 +108,8 @@ type baselineKey struct {
 
 type baselineEntry struct {
 	once sync.Once
+	cell Cell         // the single-GPU infinite-fabric cell it prices
+	res  *resultEntry // cell's structural replay
 	val  float64
 	err  error
 }
@@ -113,10 +125,35 @@ type resultKey struct {
 	pcfg paradigm.Config
 }
 
+// resultEntry is one structural key's cached replay. Its group fills res
+// or err; read them only after r.replay(ctx, group) returns.
 type resultEntry struct {
-	once sync.Once
-	res  *engine.Result
-	err  error
+	group *replayGroup
+	kind  paradigm.Kind
+	pcfg  paradigm.Config
+	res   *engine.Result
+	err   error
+}
+
+// replayGroup is the set of structural keys one fused replay of a trace
+// fills. Whoever needs an entry first — the group's pool task, or a cell
+// of another matrix that shares the key — runs the replay; the rest wait.
+type replayGroup struct {
+	once    sync.Once
+	trace   traceKey
+	entries []*resultEntry
+}
+
+// describe names the group's span: the trace it replays.
+func (g *replayGroup) describe() string {
+	return fmt.Sprintf("replay/%s/%dgpu", g.trace.app, g.trace.cfg.NumGPUs)
+}
+
+// replayPlan collects the replay groups of the keys a matrix is the first
+// to request.
+type replayPlan struct {
+	groups  []*replayGroup
+	byTrace map[traceKey]*replayGroup
 }
 
 // Runner executes experiment matrices on a worker pool over a shared
@@ -326,6 +363,7 @@ func (r *Runner) traceCtx(ctx context.Context, app string, cfg workload.Config) 
 	r.mu.Unlock()
 
 	e.once.Do(func() {
+		defer recoverInto(&e.err)
 		_, span := obs.StartSpan(ctx, obs.CatPhase, "trace-build", "app", app)
 		defer span.End()
 		spec, err := workload.ByName(app)
@@ -423,40 +461,128 @@ func (r *Runner) spillFileLocked() *trace.SpillFile {
 	return r.spill
 }
 
-// structural returns the engine.Result of replaying (app, wcfg) under
-// (kind, pcfg), running the replay at most once per key. The result is
-// immutable downstream: timing.Simulate and the figure assemblies only read
-// it, so one result safely prices any number of fabrics.
-func (r *Runner) structural(ctx context.Context, app string, wcfg workload.Config, kind paradigm.Kind,
-	pcfg paradigm.Config) (*engine.Result, error) {
-	key := resultKey{app: app, wcfg: wcfg, kind: kind, pcfg: pcfg}
-	r.mu.Lock()
-	e := r.results[key]
-	if e == nil {
-		e = &resultEntry{}
-		r.results[key] = e
-	} else {
+// planLocked returns the result entry of key. A key nobody requested yet
+// gets a new entry in the plan's replay group for its trace; a known key
+// counts as an engine hit, whether its replay is done or still running.
+// Callers hold r.mu.
+func (r *Runner) planLocked(p *replayPlan, key resultKey) *resultEntry {
+	if e := r.results[key]; e != nil {
 		r.engineHits.Add(1)
+		return e
 	}
-	r.mu.Unlock()
+	tk := traceKey{app: key.app, cfg: key.wcfg}
+	g := p.byTrace[tk]
+	if g == nil {
+		if p.byTrace == nil {
+			p.byTrace = map[traceKey]*replayGroup{}
+		}
+		g = &replayGroup{trace: tk}
+		p.byTrace[tk] = g
+		p.groups = append(p.groups, g)
+	}
+	e := &resultEntry{group: g, kind: key.kind, pcfg: key.pcfg}
+	g.entries = append(g.entries, e)
+	r.results[key] = e
+	return e
+}
 
-	e.once.Do(func() {
-		prog, err := r.traceCtx(ctx, app, wcfg)
-		if err != nil {
-			e.err = err
-			return
-		}
-		model, err := paradigm.New(kind, prog, pcfg)
-		if err != nil {
-			e.err = err
-			return
-		}
-		sctx, span := obs.StartSpan(ctx, obs.CatPhase, "engine-replay",
-			"app", app, "paradigm", kind.String())
-		e.res = engine.RunObserved(prog, model, enginePhaseSpans(sctx))
-		span.End()
-		r.engineRuns.Add(1)
+// planBaselineLocked returns the baseline entry of (app, opt, pcfg),
+// planning its single-GPU replay if the baseline is new. Callers hold r.mu.
+func (r *Runner) planBaselineLocked(p *replayPlan, app string, opt Options, pcfg paradigm.Config) *baselineEntry {
+	opt = opt.withDefaults()
+	key := baselineKey{app: app, wcfg: opt.workloadConfig(1), pcfg: pcfg}
+	if e := r.baselines[key]; e != nil {
+		r.baselineHits.Add(1)
+		return e
+	}
+	c := Cell{App: app, Kind: paradigm.KindInfinite, GPUs: 1, Fab: interconnect.Infinite(1), Opt: opt, Cfg: pcfg}
+	e := &baselineEntry{cell: c, res: r.planLocked(p, c.resultKey())}
+	r.baselines[key] = e
+	return e
+}
+
+// resultKey is the structural replay the cell prices.
+func (c Cell) resultKey() resultKey {
+	opt := c.Opt.withDefaults()
+	return resultKey{app: c.App, wcfg: opt.workloadConfig(c.GPUs), kind: c.Kind, pcfg: c.Cfg}
+}
+
+// replayGroups runs the plan's groups on the worker pool, largest first, so
+// the longest fused replays start before the pool fills with short ones.
+// A group's failure is stored on its entries, not returned: it surfaces on
+// every cell that needs one of them, under that cell's index and
+// description. Group tasks emit no CellEvents and skip the fault hook,
+// which both count cells; under a tracer each gets a cell-category span.
+func (r *Runner) replayGroups(ctx context.Context, groups []*replayGroup) {
+	sort.SliceStable(groups, func(a, b int) bool {
+		return len(groups[a].entries) > len(groups[b].entries)
 	})
+	r.pool(ctx, len(groups), func(i int) error {
+		gctx, span := obs.StartSpanTrack(ctx, obs.CatCell, groups[i].describe())
+		r.replay(gctx, groups[i])
+		span.End()
+		return nil
+	})
+}
+
+// replay fills every entry of g with one fused replay of its trace, at most
+// once; concurrent callers wait for the one run. A failure — a trace build
+// or replay error, or a panic such as an unreadable spilled block — is
+// recorded on every entry still without a result, so later requests for
+// the key fail the same way instead of reading an empty entry.
+func (r *Runner) replay(ctx context.Context, g *replayGroup) {
+	g.once.Do(func() {
+		if err := r.replayOnce(ctx, g); err != nil {
+			for _, e := range g.entries {
+				if e.res == nil && e.err == nil {
+					e.err = err
+				}
+			}
+		}
+	})
+}
+
+// replayOnce builds a model per entry and replays the group's trace once
+// through all of them. An entry whose model cannot be built gets its own
+// error; the others still replay.
+func (r *Runner) replayOnce(ctx context.Context, g *replayGroup) (err error) {
+	defer recoverInto(&err)
+	prog, err := r.traceCtx(ctx, g.trace.app, g.trace.cfg)
+	if err != nil {
+		return err
+	}
+	var models []engine.Model
+	var live []*resultEntry
+	var names []string
+	for _, e := range g.entries {
+		m, err := paradigm.New(e.kind, prog, e.pcfg)
+		if err != nil {
+			e.err = err
+			continue
+		}
+		models = append(models, m)
+		live = append(live, e)
+		names = append(names, e.kind.String())
+	}
+	if len(models) == 0 {
+		return nil
+	}
+	sctx, span := obs.StartSpan(ctx, obs.CatPhase, "engine-replay",
+		"app", g.trace.app, "paradigms", strings.Join(names, ","))
+	defer span.End()
+	for i, res := range engine.RunFused(prog, models, enginePhaseSpans(sctx)) {
+		live[i].res = res
+	}
+	r.engineRuns.Add(uint64(len(live)))
+	return nil
+}
+
+// result returns e's structural result, replaying its group first if no
+// one has yet. The result is immutable downstream: timing.Simulate and the
+// figure assemblies only read it, so one result safely prices any number of
+// fabrics.
+func (r *Runner) result(ctx context.Context, e *resultEntry) (*engine.Result, error) {
+	r.replay(ctx, e.group)
 	return e.res, e.err
 }
 
@@ -471,7 +597,7 @@ func enginePhaseSpans(ctx context.Context) engine.PhaseObserver {
 	return &phaseSpanObserver{ctx: ctx}
 }
 
-// phaseSpanObserver is used inside one engine.RunObserved call, which
+// phaseSpanObserver is used inside one engine.RunFused call, which
 // replays phases serially, so the single current-span field needs no lock.
 type phaseSpanObserver struct {
 	ctx  context.Context
@@ -527,12 +653,21 @@ func (r *Runner) RunCell(c Cell) (*timing.Report, *engine.Result, error) {
 	return r.runCell(context.Background(), c)
 }
 
-// runCell is RunCell under the caller's context: the timing pass records a
-// render phase span, and a trace build or structural replay triggered by
-// this cell records its phase spans too.
+// runCell is RunCell under the caller's context: the cell is a matrix of
+// one, so its structural key is planned like any matrix's (a replay group
+// of one, run inline if the key is new), then the timing pass records a
+// render phase span.
 func (r *Runner) runCell(ctx context.Context, c Cell) (*timing.Report, *engine.Result, error) {
-	opt := c.Opt.withDefaults()
-	res, err := r.structural(ctx, c.App, opt.workloadConfig(c.GPUs), c.Kind, c.Cfg)
+	var p replayPlan
+	r.mu.Lock()
+	e := r.planLocked(&p, c.resultKey())
+	r.mu.Unlock()
+	return r.price(ctx, c, e)
+}
+
+// price runs the timing pass of c over its structural entry e.
+func (r *Runner) price(ctx context.Context, c Cell, e *resultEntry) (*timing.Report, *engine.Result, error) {
+	res, err := r.result(ctx, e)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -551,27 +686,20 @@ func (r *Runner) runCell(ctx context.Context, c Cell) (*timing.Report, *engine.R
 // interconnect at all), simulating it at most once per (app, workload
 // config, paradigm config).
 func (r *Runner) Baseline(app string, opt Options, pcfg paradigm.Config) (float64, error) {
-	return r.baselineCtx(context.Background(), app, opt, pcfg)
+	var p replayPlan
+	r.mu.Lock()
+	e := r.planBaselineLocked(&p, app, opt, pcfg)
+	r.mu.Unlock()
+	return r.baseline(context.Background(), e)
 }
 
-func (r *Runner) baselineCtx(ctx context.Context, app string, opt Options, pcfg paradigm.Config) (float64, error) {
-	opt = opt.withDefaults()
-	key := baselineKey{app: app, wcfg: opt.workloadConfig(1), pcfg: pcfg}
-	r.mu.Lock()
-	e := r.baselines[key]
-	if e == nil {
-		e = &baselineEntry{}
-		r.baselines[key] = e
-	} else {
-		r.baselineHits.Add(1)
-	}
-	r.mu.Unlock()
-
+// baseline prices e's cell once and caches its steady-state runtime. A
+// panic is stored as the entry's error, so the baseline never reads as a
+// successful zero.
+func (r *Runner) baseline(ctx context.Context, e *baselineEntry) (float64, error) {
 	e.once.Do(func() {
-		rep, _, err := r.runCell(ctx, Cell{
-			App: app, Kind: paradigm.KindInfinite, GPUs: 1,
-			Fab: interconnect.Infinite(1), Opt: opt, Cfg: pcfg,
-		})
+		defer recoverInto(&e.err)
+		rep, _, err := r.price(ctx, e.cell, e.res)
 		if err != nil {
 			e.err = err
 			return
@@ -625,10 +753,7 @@ func (r *Runner) parallelFor(ctx context.Context, n int, fn func(int) error) err
 func (r *Runner) parallelForDesc(ctx context.Context, n int, desc func(int) string, fn func(context.Context, int) error) error {
 	observe := cellObserver(ctx)
 	tracing := obs.TracerFrom(ctx) != nil
-	step := func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	return r.pool(ctx, n, func(i int) error {
 		if !tracing && observe == nil {
 			return r.runCellResilient(ctx, i, desc, fn)
 		}
@@ -647,6 +772,19 @@ func (r *Runner) parallelForDesc(ctx context.Context, n int, desc func(int) stri
 			observe(CellEvent{Index: i, Desc: d, Dur: time.Since(start), Err: err})
 		}
 		return err
+	})
+}
+
+// pool runs step(0..n-1) on up to Workers() goroutines, issuing indices in
+// order, and returns the error of the lowest failing index. Once ctx is
+// done no further index starts; each index not issued fails with ctx's
+// error.
+func (r *Runner) pool(ctx context.Context, n int, step func(int) error) error {
+	run := func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return step(i)
 	}
 	workers := r.Workers()
 	if workers > n {
@@ -655,7 +793,7 @@ func (r *Runner) parallelForDesc(ctx context.Context, n int, desc func(int) stri
 	if workers <= 1 {
 		var firstErr error
 		for i := 0; i < n; i++ {
-			if err := step(i); err != nil && firstErr == nil {
+			if err := run(i); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -678,7 +816,7 @@ func (r *Runner) parallelForDesc(ctx context.Context, n int, desc func(int) stri
 				if i >= n {
 					return
 				}
-				if err := step(i); err != nil {
+				if err := run(i); err != nil {
 					mu.Lock()
 					if i < errIdx {
 						errIdx, firstErr = i, err
@@ -718,27 +856,35 @@ func (c Cell) describe() string {
 // back as a typed *CellError naming the cell, and other cells (and other
 // matrices on the same runner) keep running.
 func (r *Runner) RunMatrix(ctx context.Context, cells []Cell) ([]CellResult, error) {
-	results := make([]CellResult, len(cells))
-	desc := func(i int) string { return cells[i].describe() }
-	err := r.parallelForDesc(ctx, len(cells), desc, func(ctx context.Context, i int) error {
-		rep, res, err := r.runCell(ctx, cells[i])
-		if err != nil {
-			return err
-		}
-		results[i] = CellResult{Cell: cells[i], Report: rep, Result: res}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	_, results, err := r.RunMatrixWithBaselines(ctx, nil, Options{}, paradigm.Config{}, cells)
+	return results, err
 }
 
 // RunMatrixWithBaselines executes the cells and, on the same worker pool,
-// resolves the single-GPU baselines for apps under (opt, pcfg). Baseline
-// jobs are scheduled first so the normalization runs overlap the matrix.
+// resolves the single-GPU baselines for apps under (opt, pcfg). It runs in
+// two stages: first one fused replay per trace fills every structural key
+// the matrix is the first to need (baselines included), then the baselines
+// and cells price their fabrics, baselines first. Indices, errors and
+// CellEvents refer to the second stage: baselines are 0..len(apps)-1, cells
+// follow.
 func (r *Runner) RunMatrixWithBaselines(ctx context.Context, apps []string, opt Options,
 	pcfg paradigm.Config, cells []Cell) (map[string]float64, []CellResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	var p replayPlan
+	baseEntries := make([]*baselineEntry, len(apps))
+	entries := make([]*resultEntry, len(cells))
+	r.mu.Lock()
+	for i, app := range apps {
+		baseEntries[i] = r.planBaselineLocked(&p, app, opt, pcfg)
+	}
+	for i := range cells {
+		entries[i] = r.planLocked(&p, cells[i].resultKey())
+	}
+	r.mu.Unlock()
+	r.replayGroups(ctx, p.groups)
+
 	bases := make([]float64, len(apps))
 	results := make([]CellResult, len(cells))
 	desc := func(i int) string {
@@ -749,7 +895,7 @@ func (r *Runner) RunMatrixWithBaselines(ctx context.Context, apps []string, opt 
 	}
 	err := r.parallelForDesc(ctx, len(apps)+len(cells), desc, func(ctx context.Context, i int) error {
 		if i < len(apps) {
-			b, err := r.baselineCtx(ctx, apps[i], opt, pcfg)
+			b, err := r.baseline(ctx, baseEntries[i])
 			if err != nil {
 				return err
 			}
@@ -757,7 +903,7 @@ func (r *Runner) RunMatrixWithBaselines(ctx context.Context, apps []string, opt 
 			return nil
 		}
 		j := i - len(apps)
-		rep, res, err := r.runCell(ctx, cells[j])
+		rep, res, err := r.price(ctx, cells[j], entries[j])
 		if err != nil {
 			return err
 		}

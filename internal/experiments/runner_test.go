@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,6 +81,107 @@ func TestRunnerBaselineMatrixCounters(t *testing.T) {
 	}
 	if want := uint64(len(apps)); s.BaselineRuns != want {
 		t.Errorf("BaselineRuns = %d, want %d", s.BaselineRuns, want)
+	}
+	// One replay per distinct (app, kind) key plus one per baseline.
+	if want := uint64(len(cells) + len(apps)); s.EngineRuns != want {
+		t.Errorf("EngineRuns = %d, want %d", s.EngineRuns, want)
+	}
+	// Each trace is requested once, by its replay group, and built then.
+	if s.TraceHits != 0 {
+		t.Errorf("TraceHits = %d, want 0 (one request per replay group)", s.TraceHits)
+	}
+
+	// A warm re-run is pure pricing: no replay, no trace build or lookup.
+	if _, _, err := r.RunMatrixWithBaselines(context.Background(), apps, opt, paradigm.DefaultConfig(), cells); err != nil {
+		t.Fatal(err)
+	}
+	if w := r.CacheStats(); w.EngineRuns != s.EngineRuns || w.TraceBuilds != s.TraceBuilds || w.TraceHits != s.TraceHits {
+		t.Errorf("warm re-run replayed or built: before %+v, after %+v", s, w)
+	}
+}
+
+// TestRunnerMixedConfigsReplayOnce: a matrix whose cells mix paradigm
+// configs (the Figure 14 queue sizes) on one trace builds that trace once
+// and decodes it once. The trace is spilled, so every block decode is a
+// counted read from the spill file: the three-key matrix must read exactly
+// as many blocks as a lone one-key replay of the same trace.
+func TestRunnerMixedConfigsReplayOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation")
+	}
+	opt := quick()
+	small := paradigm.DefaultConfig()
+	small.WriteQueueEntries = 4
+	cell := func(k paradigm.Kind, cfg paradigm.Config) Cell {
+		return Cell{App: "jacobi", Kind: k, GPUs: 4, Fab: MainFabric(4), Opt: opt, Cfg: cfg}
+	}
+	blockReads := func(cells ...Cell) CacheStats {
+		r := NewRunner(2)
+		r.SetTraceBudget(1) // spill every trace as soon as it is built
+		if _, err := r.RunMatrix(context.Background(), cells); err != nil {
+			t.Fatal(err)
+		}
+		return r.CacheStats()
+	}
+	lone := blockReads(cell(paradigm.KindRDL, paradigm.DefaultConfig()))
+	mixed := blockReads(
+		cell(paradigm.KindGPS, paradigm.DefaultConfig()),
+		cell(paradigm.KindGPS, small),
+		cell(paradigm.KindRDL, paradigm.DefaultConfig()))
+	if mixed.TraceBuilds != 1 || mixed.EngineRuns != 3 {
+		t.Errorf("mixed configs: %d trace builds / %d engine runs, want 1 / 3", mixed.TraceBuilds, mixed.EngineRuns)
+	}
+	if lone.SpillBlockReads == 0 {
+		t.Fatalf("trace was not spilled: %+v", lone)
+	}
+	if mixed.SpillBlockReads != lone.SpillBlockReads {
+		t.Errorf("mixed configs read %d spilled blocks, a lone replay %d: the trace was decoded more than once",
+			mixed.SpillBlockReads, lone.SpillBlockReads)
+	}
+}
+
+// TestConcurrentMatricesShareReplays: matrices running at once on one
+// runner with overlapping cells (as gpsd jobs do) replay each structural key
+// exactly once between them — whichever reaches a shared key's replay group
+// first runs it, the other waits — and both get the serial results.
+func TestConcurrentMatricesShareReplays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation")
+	}
+	opt := quick()
+	var cells []Cell
+	for _, k := range []paradigm.Kind{paradigm.KindGPS, paradigm.KindRDL, paradigm.KindUM} {
+		cells = append(cells, Cell{App: "jacobi", Kind: k, GPUs: 2, Fab: MainFabric(2), Opt: opt, Cfg: paradigm.DefaultConfig()})
+	}
+	want, err := NewRunner(1).RunMatrix(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(2)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Rotate the cells so the matrices plan their keys in different
+			// orders.
+			rot := append(append([]Cell{}, cells[i%len(cells):]...), cells[:i%len(cells)]...)
+			got, err := r.RunMatrix(context.Background(), rot)
+			if err != nil {
+				t.Errorf("matrix %d: %v", i, err)
+				return
+			}
+			for j, cr := range got {
+				w := want[(i+j)%len(cells)]
+				if cr.Report.Total != w.Report.Total || !reflect.DeepEqual(cr.Result, w.Result) {
+					t.Errorf("matrix %d cell %s differs from the serial run", i, cr.Cell.describe())
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if s := r.CacheStats(); s.EngineRuns != uint64(len(cells)) || s.TraceBuilds != 1 {
+		t.Errorf("%d engine runs / %d trace builds, want %d / 1", s.EngineRuns, s.TraceBuilds, len(cells))
 	}
 }
 

@@ -253,7 +253,7 @@ type Span struct {
 // run concurrently with their siblings); otherwise the parent's track is
 // inherited so serial children nest on one Perfetto row.
 func (t *Tracer) span(parent *Span, cat, name string, newTrack bool, kv []string) *Span {
-	s := &Span{t: t, name: name, cat: cat, startTs: t.now()}
+	s := &Span{t: t, name: name, cat: cat}
 	switch {
 	case newTrack || parent == nil:
 		s.tid = t.allocTrack()
@@ -261,6 +261,10 @@ func (t *Tracer) span(parent *Span, cat, name string, newTrack bool, kv []string
 	default:
 		s.tid = parent.tid
 	}
+	// Stamp the start only once the track is held: allocTrack may wait on
+	// the tracer lock, and a reused track's previous span ends before it is
+	// freed, so a later stamp keeps same-track spans strictly nested.
+	s.startTs = t.now()
 	if len(kv) > 0 {
 		s.args = make(map[string]string, len(kv)/2)
 		for i := 0; i+1 < len(kv); i += 2 {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestTracerRoundTrip drives the full span hierarchy — job ⊃ figure ⊃
@@ -192,5 +193,36 @@ func TestValidateTraceRejects(t *testing.T) {
 	}
 	if _, err := ValidateTrace([]byte("[]"), CatJob); err == nil {
 		t.Error("requireCats accepted a trace with no job spans")
+	}
+}
+
+// TestSpanStartsAfterTrackAllocation: a span takes its start time only once
+// it holds its track. Tracks are reused, and allocation can wait on the
+// tracer lock (the flusher holds it while writing). A start time taken
+// before that wait could precede the end of the span that freed the track,
+// and the track's events would stop nesting.
+func TestSpanStartsAfterTrackAllocation(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(context.Background(), &buf)
+	ctx := WithTracer(context.Background(), tr)
+	started := make(chan *Span)
+	tr.mu.Lock()
+	go func() {
+		_, s := StartSpanTrack(ctx, CatCell, "late")
+		started <- s
+	}()
+	// Let the goroutine reach the lock. Should it not get there in time,
+	// the test passes without having checked anything; it cannot fail
+	// spuriously.
+	time.Sleep(20 * time.Millisecond)
+	mid := tr.now()
+	tr.mu.Unlock()
+	s := <-started
+	s.End()
+	if s.startTs <= mid {
+		t.Errorf("span start %d precedes its track allocation (lock released after %d)", s.startTs, mid)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

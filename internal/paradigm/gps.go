@@ -175,10 +175,6 @@ func (m *gpsModel) translate(gpu int, vpn uint64) memsys.PTE {
 	return pte
 }
 
-func (m *gpsModel) Access(gpu int, a trace.Access, lines []uint64) {
-	m.AccessBatch(gpu, m.singleBatch(a, lines))
-}
-
 // isManual reports whether vpn carries pinned manual subscriptions. Peek
 // suffices: manual flags are all set at allocation time.
 func (m *gpsModel) isManual(vpn uint64) bool {
@@ -186,7 +182,7 @@ func (m *gpsModel) isManual(vpn uint64) bool {
 	return p != nil && p.manual
 }
 
-func (m *gpsModel) AccessBatch(gpu int, b *engine.Batch) {
+func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	wq := m.wq[gpu]
 	for i := range b.Accs {

@@ -57,11 +57,7 @@ func newMemcpyAsync(meta trace.Meta, cfg Config) *memcpyModel {
 	return m
 }
 
-func (m *memcpyModel) Access(gpu int, a trace.Access, lines []uint64) {
-	m.AccessBatch(gpu, m.singleBatch(a, lines))
-}
-
-func (m *memcpyModel) AccessBatch(gpu int, b *engine.Batch) {
+func (m *memcpyModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	lastSlot, lastVPN := ^uint64(0), ^uint64(0)
 	var region *trace.Region

@@ -197,7 +197,6 @@ type base struct {
 
 	phase    int
 	profiles []engine.Profile
-	scratch  engine.Batch // single-instruction batch backing Access
 }
 
 func newBase(name string, meta trace.Meta, cfg Config) base {
@@ -221,15 +220,6 @@ func (b *base) BeginPhase(index int, profiles []engine.Profile) {
 }
 
 func (b *base) vpn(line uint64) uint64 { return line >> b.vpnShift }
-
-// singleBatch wraps one instruction as a Batch, so a model's Access can
-// delegate to its AccessBatch and the per-line logic lives in one place.
-func (b *base) singleBatch(a trace.Access, lines []uint64) *engine.Batch {
-	b.scratch.Accs = append(b.scratch.Accs[:0], a)
-	b.scratch.Offs = append(b.scratch.Offs[:0], 0, int32(len(lines)))
-	b.scratch.Lines = lines
-	return &b.scratch
-}
 
 // sharedRegion returns the shared region containing line, or nil for
 // private or unknown addresses.

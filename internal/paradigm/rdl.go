@@ -25,11 +25,7 @@ func newRDL(meta trace.Meta, cfg Config) *rdlModel {
 	return m
 }
 
-func (m *rdlModel) Access(gpu int, a trace.Access, lines []uint64) {
-	m.AccessBatch(gpu, m.singleBatch(a, lines))
-}
-
-func (m *rdlModel) AccessBatch(gpu int, b *engine.Batch) {
+func (m *rdlModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	lastSlot, lastVPN := ^uint64(0), ^uint64(0)
 	var region *trace.Region

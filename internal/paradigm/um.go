@@ -43,11 +43,7 @@ func newUM(meta trace.Meta, cfg Config) *umModel {
 	return m
 }
 
-func (m *umModel) Access(gpu int, a trace.Access, lines []uint64) {
-	m.AccessBatch(gpu, m.singleBatch(a, lines))
-}
-
-func (m *umModel) AccessBatch(gpu int, b *engine.Batch) {
+func (m *umModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	lastSlot, lastVPN := ^uint64(0), ^uint64(0)
 	var region *trace.Region

@@ -54,11 +54,7 @@ func (m *hintsModel) homeOf(p *hintsPage, toucher int) int {
 	return int(p.home) - 1
 }
 
-func (m *hintsModel) Access(gpu int, a trace.Access, lines []uint64) {
-	m.AccessBatch(gpu, m.singleBatch(a, lines))
-}
-
-func (m *hintsModel) AccessBatch(gpu int, b *engine.Batch) {
+func (m *hintsModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	lastSlot, lastVPN := ^uint64(0), ^uint64(0)
 	var region *trace.Region

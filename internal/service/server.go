@@ -373,7 +373,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	}
 	cache("gps_runner_trace_builds_total", "Traces generated and materialized.",
 		func(c experiments.CacheStats) uint64 { return c.TraceBuilds })
-	cache("gps_runner_trace_hits_total", "Trace requests served from cache.",
+	cache("gps_runner_trace_hits_total", "Trace requests served from cache (one request per replay group).",
 		func(c experiments.CacheStats) uint64 { return c.TraceHits })
 	cache("gps_runner_trace_evictions_total", "Traces evicted to respect the budget.",
 		func(c experiments.CacheStats) uint64 { return c.TraceEvictions })
