@@ -41,7 +41,7 @@ bench-smoke:
 ## bench-micro: compile and run every microbenchmark exactly once, so the
 ## hot-path benchmarks cannot rot without failing the gate.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace/ ./internal/engine/ ./internal/memsys/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace/ ./internal/engine/ ./internal/memsys/ ./internal/workload/
 
 ## bench-record: record the full suite's wall clock and headline metrics
 ## into BENCH_<n>.json at the repo root (see scripts/bench_record.sh).
@@ -91,8 +91,9 @@ benchgate:
 	$(GO) run ./cmd/gpsbench -all -parallel 1 -json /tmp/gpsbench-gate.json
 	$(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE) -v /tmp/gpsbench-gate.json
 
-## chaos: the resilience gate — fault-injected suites under -race, a fuzz
-## pass over the trace decoder, and the SIGKILL crash-recovery smoke.
+## chaos: the resilience gate — fault-injected suites under -race, fuzz
+## passes over the trace decoders and the run encoder, and the SIGKILL
+## crash-recovery smoke.
 chaos:
 	$(GO) test -race ./internal/faultinject/ ./internal/retry/
 	$(GO) test -race -run 'Panic|Injected|CellError|Deterministic' ./internal/experiments/
@@ -100,4 +101,5 @@ chaos:
 	$(GO) test -race -run 'ZeroCell|Oversized|JournalFailure' ./internal/httpapi/
 	$(GO) test -fuzz=FuzzDecodeTrace -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzColumnBlock -fuzztime=10s ./internal/trace/
+	$(GO) test -fuzz=FuzzColumnEncoderRuns -fuzztime=10s ./internal/trace/
 	sh scripts/chaos_smoke.sh

@@ -371,11 +371,13 @@ func (r *Runner) traceCtx(ctx context.Context, app string, cfg workload.Config) 
 			e.err = err
 			return
 		}
-		e.rec = trace.Collect(spec.Build(cfg))
-		e.cost = traceCost(e.rec)
-		e.logical = traceLogical(e.rec)
+		rec := trace.Collect(spec.Build(cfg))
+		cost, logical := traceCost(rec), traceLogical(rec)
 		r.traceBuilds.Add(1)
+		// Publish under r.mu: other workers' evictLocked reads every
+		// entry's rec and cost, and a zero cost marks one still building.
 		r.mu.Lock()
+		e.rec, e.cost, e.logical = rec, cost, logical
 		r.resident += e.cost
 		r.logical += e.logical
 		r.evictLocked(key)

@@ -39,8 +39,10 @@ func BenchmarkColumnDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnEncode measures the append path the workload generators
-// drive while building traces.
+// BenchmarkColumnEncode measures the append paths the workload generators
+// drive while building traces: record-at-a-time Append on a stencil and a
+// random stream, and stencil-run, the same stencil stream appended as one
+// AppendRun the way contiguous ranges are built.
 func BenchmarkColumnEncode(b *testing.B) {
 	const n = 16 * BlockAccesses
 	for _, v := range []struct {
@@ -64,6 +66,18 @@ func BenchmarkColumnEncode(b *testing.B) {
 			}
 		})
 	}
+	b.Run("stencil-run", func(b *testing.B) {
+		first := stencilAccesses(1)[0]
+		b.ReportAllocs()
+		b.SetBytes(n * 24)
+		for i := 0; i < b.N; i++ {
+			var enc ColumnEncoder
+			enc.AppendRun(first, n, 128)
+			if c := enc.Finish(); c.Len() != n {
+				b.Fatal("short encode")
+			}
+		}
+	})
 }
 
 // BenchmarkSpillRead measures a full decode pass over a spilled store,

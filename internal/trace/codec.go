@@ -27,6 +27,9 @@ import (
 const (
 	magic   = "GPSTRACE"
 	version = 1
+
+	// maxMetaBytes caps the declared meta length; real metas are a few KB.
+	maxMetaBytes = 1 << 24
 )
 
 // Encode writes p to w in the binary trace format.
@@ -74,12 +77,8 @@ func Decode(r io.Reader) (*Recorded, error) {
 		return nil, fmt.Errorf("trace: unsupported version %d", v)
 	}
 
-	metaLen, err := binary.ReadUvarint(br)
+	metaJSON, err := readMeta(br)
 	if err != nil {
-		return nil, err
-	}
-	metaJSON := make([]byte, metaLen)
-	if _, err := io.ReadFull(br, metaJSON); err != nil {
 		return nil, err
 	}
 	rec := &Recorded{}
@@ -122,6 +121,27 @@ func DecodeJSON(r io.Reader) (*Recorded, error) {
 		return nil, err
 	}
 	return rec, nil
+}
+
+// readMeta reads the length-prefixed meta JSON of a trace header. The read
+// is bounded by the input rather than by the declared length, so a short
+// input can only cost what it actually holds.
+func readMeta(br *bufio.Reader) ([]byte, error) {
+	metaLen, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, err
+	}
+	if metaLen > maxMetaBytes {
+		return nil, fmt.Errorf("trace: implausible meta length %d", metaLen)
+	}
+	metaJSON, err := io.ReadAll(io.LimitReader(br, int64(metaLen)))
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(metaJSON)) != metaLen {
+		return nil, fmt.Errorf("trace: meta truncated at %d of %d bytes: %w", len(metaJSON), metaLen, io.ErrUnexpectedEOF)
+	}
+	return metaJSON, nil
 }
 
 func putUvarint(w *bufio.Writer, v uint64) {

@@ -174,44 +174,127 @@ func (c *ColumnAccesses) block(i int, scratch []byte) (data, newScratch []byte, 
 	return scratch, scratch, nil
 }
 
-// ColumnEncoder incrementally builds a ColumnAccesses from a stream of
-// records using constant memory (one block's worth of pending records).
-// The zero value is ready to use; an encoder is single-use.
+// colRun is one run of a column: n successive records share value v. In
+// the seed and addr columns v is the delta from the previous record (a seed
+// delta in its low 32 bits), so an arithmetic sequence is one run.
+type colRun struct {
+	v uint64
+	n uint32
+}
+
+// Column indices, in wire order. The first numShapeCols columns are the
+// ones Access.Validate reads.
+const (
+	colOp = iota
+	colScope
+	colPattern
+	colThreads
+	colElem
+	colStride
+	colSeed
+	colAddr
+	numCols
+	numShapeCols = colSeed
+)
+
+var colNames = [numCols]string{"op", "scope", "pattern", "threads", "elem", "stride", "seed", "addr"}
+
+// pushRun appends k records of value v to a column: it extends the last run
+// when v repeats and opens a new run otherwise.
+func pushRun(runs []colRun, v uint64, k int) []colRun {
+	if last := len(runs) - 1; last >= 0 && runs[last].v == v {
+		runs[last].n += uint32(k)
+		return runs
+	}
+	return append(runs, colRun{v, uint32(k)})
+}
+
+// ColumnEncoder incrementally builds a ColumnAccesses. It holds the current
+// block as eight per-column run lists rather than as records: appending
+// extends or opens one run per column, and AppendRun appends a whole
+// arithmetic address run per block it touches. Every run is extended while
+// its value (or delta) repeats, so the runs are the block's maximal RLE and
+// the flushed bytes are canonical. The zero value is ready to use; an
+// encoder is single-use.
 type ColumnEncoder struct {
 	n          int
 	compressed uint64
 	blocks     [][]byte
 	sizes      []int32
-	buf        []Access
+
+	cnt      int               // records in the current block
+	cols     [numCols][]colRun // the current block's runs
+	lastSeed uint32            // previous record's seed and addr in the block
+	lastAddr uint64
+	scratch  []byte // serialization buffer, reused across blocks
 }
 
 // Append adds one record to the stream.
-func (e *ColumnEncoder) Append(a Access) {
-	if cap(e.buf) == 0 {
-		e.buf = make([]Access, 0, BlockAccesses)
-	}
-	e.buf = append(e.buf, a)
-	if len(e.buf) == BlockAccesses {
-		e.flush()
+func (e *ColumnEncoder) Append(a Access) { e.AppendRun(a, 1, 0) }
+
+// AppendRun adds n records that equal a except for their addresses: record
+// i has Addr = a.Addr + i*step (modulo 2^64). It is equivalent to n Append
+// calls and costs one call per block the run touches. n <= 0 adds nothing.
+func (e *ColumnEncoder) AppendRun(a Access, n int, step uint64) {
+	for n > 0 {
+		k := min(n, BlockAccesses-e.cnt)
+		c := &e.cols
+		c[colOp] = pushRun(c[colOp], uint64(a.Op), k)
+		c[colScope] = pushRun(c[colScope], uint64(a.Scope), k)
+		c[colPattern] = pushRun(c[colPattern], uint64(a.Pattern), k)
+		c[colThreads] = pushRun(c[colThreads], uint64(a.Threads), k)
+		c[colElem] = pushRun(c[colElem], uint64(a.ElemBytes), k)
+		c[colStride] = pushRun(c[colStride], uint64(a.Stride), k)
+		c[colSeed] = pushRun(c[colSeed], uint64(a.Seed-e.lastSeed), 1)
+		c[colAddr] = pushRun(c[colAddr], a.Addr-e.lastAddr, 1)
+		if k > 1 {
+			c[colSeed] = pushRun(c[colSeed], 0, k-1)
+			c[colAddr] = pushRun(c[colAddr], step, k-1)
+		}
+		e.lastSeed = a.Seed
+		e.lastAddr = a.Addr + uint64(k-1)*step
+		a.Addr += uint64(k) * step
+		n -= k
+		e.cnt += k
+		if e.cnt == BlockAccesses {
+			e.flush()
+		}
 	}
 }
 
 // Len returns the number of records appended so far.
-func (e *ColumnEncoder) Len() int { return e.n + len(e.buf) }
+func (e *ColumnEncoder) Len() int { return e.n + e.cnt }
 
+// flush serializes the current block's runs in the block format above and
+// starts a new block.
 func (e *ColumnEncoder) flush() {
-	blk := appendBlock(nil, e.buf)
-	e.blocks = append(e.blocks, blk)
-	e.sizes = append(e.sizes, int32(len(blk)))
-	e.compressed += uint64(len(blk))
-	e.n += len(e.buf)
-	e.buf = e.buf[:0]
+	buf := binary.AppendUvarint(e.scratch[:0], uint64(e.cnt))
+	for c := range e.cols {
+		for _, r := range e.cols[c] {
+			switch c {
+			case colSeed:
+				buf = binary.AppendVarint(buf, int64(int32(uint32(r.v))))
+			case colAddr:
+				buf = binary.AppendVarint(buf, int64(r.v))
+			default:
+				buf = binary.AppendUvarint(buf, r.v)
+			}
+			buf = binary.AppendUvarint(buf, uint64(r.n))
+		}
+		e.cols[c] = e.cols[c][:0]
+	}
+	e.scratch = buf
+	e.blocks = append(e.blocks, bytes.Clone(buf))
+	e.sizes = append(e.sizes, int32(len(buf)))
+	e.compressed += uint64(len(buf))
+	e.n += e.cnt
+	e.cnt, e.lastSeed, e.lastAddr = 0, 0, 0
 }
 
 // Finish seals the stream and returns the column store, or nil if nothing
 // was appended. The encoder must not be reused.
 func (e *ColumnEncoder) Finish() *ColumnAccesses {
-	if len(e.buf) > 0 {
+	if e.cnt > 0 {
 		e.flush()
 	}
 	if e.n == 0 {
@@ -237,227 +320,17 @@ func EncodeColumns(accs []Access) *ColumnAccesses {
 	return e.Finish()
 }
 
-// appendBlock encodes accs (1..BlockAccesses records) onto dst. Each column
-// gets its own run-scan loop (rather than a per-access field dispatch): this
-// is the trace-build hot path, fed one block at a time by ColumnEncoder.
-func appendBlock(dst []byte, accs []Access) []byte {
-	n := len(accs)
-	dst = binary.AppendUvarint(dst, uint64(n))
-	// Byte-wide columns: RLE of (value, runLen).
-	for i := 0; i < n; {
-		v := accs[i].Op
-		j := i + 1
-		for j < n && accs[j].Op == v {
-			j++
-		}
-		dst = binary.AppendUvarint(dst, uint64(v))
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		i = j
-	}
-	for i := 0; i < n; {
-		v := accs[i].Scope
-		j := i + 1
-		for j < n && accs[j].Scope == v {
-			j++
-		}
-		dst = binary.AppendUvarint(dst, uint64(v))
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		i = j
-	}
-	for i := 0; i < n; {
-		v := accs[i].Pattern
-		j := i + 1
-		for j < n && accs[j].Pattern == v {
-			j++
-		}
-		dst = binary.AppendUvarint(dst, uint64(v))
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		i = j
-	}
-	for i := 0; i < n; {
-		v := accs[i].Threads
-		j := i + 1
-		for j < n && accs[j].Threads == v {
-			j++
-		}
-		dst = binary.AppendUvarint(dst, uint64(v))
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		i = j
-	}
-	for i := 0; i < n; {
-		v := accs[i].ElemBytes
-		j := i + 1
-		for j < n && accs[j].ElemBytes == v {
-			j++
-		}
-		dst = binary.AppendUvarint(dst, uint64(v))
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		i = j
-	}
-	for i := 0; i < n; {
-		v := accs[i].Stride
-		j := i + 1
-		for j < n && accs[j].Stride == v {
-			j++
-		}
-		dst = binary.AppendUvarint(dst, uint64(v))
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		i = j
-	}
-	// Seed: RLE over successive 32-bit differences.
-	var prevSeed uint32
-	for i := 0; i < n; {
-		d := int32(accs[i].Seed - prevSeed)
-		j := i + 1
-		last := accs[i].Seed
-		for j < n && int32(accs[j].Seed-last) == d {
-			last = accs[j].Seed
-			j++
-		}
-		dst = binary.AppendVarint(dst, int64(d))
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		prevSeed = last
-		i = j
-	}
-	// Addr: RLE over successive 64-bit differences.
-	var prevAddr uint64
-	for i := 0; i < n; {
-		d := accs[i].Addr - prevAddr
-		j := i + 1
-		last := accs[i].Addr
-		for j < n && accs[j].Addr-last == d {
-			last = accs[j].Addr
-			j++
-		}
-		dst = binary.AppendVarint(dst, int64(d))
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		prevAddr = last
-		i = j
-	}
-	return dst
-}
-
-// decodeBlock decodes one encoded block into dst (whose capacity must be at
-// least BlockAccesses) and returns the filled prefix. Every structural
-// hazard — truncation, run overflow, out-of-range field values — returns an
-// error; decodeBlock never panics on corrupt input.
-func decodeBlock(data []byte, dst []Access) ([]Access, error) {
-	cnt, off, err := readUvarint(data, 0)
-	if err != nil {
-		return nil, fmt.Errorf("trace: block count: %w", err)
-	}
-	if cnt == 0 || cnt > BlockAccesses {
-		return nil, fmt.Errorf("trace: block count %d out of range 1..%d", cnt, BlockAccesses)
-	}
-	n := int(cnt)
-	dst = dst[:n]
-	// Every Access field is written by exactly one column below, so no
-	// zeroing pass is needed. The switch is hoisted outside the run-fill
-	// loop: on workload-shaped blocks each column is a single run, so the
-	// fill is a tight per-field loop rather than a per-access dispatch.
-	for col := 0; col < 6; col++ {
-		i := 0
-		for i < n {
-			var v, run uint64
-			if v, off, err = readUvarint(data, off); err != nil {
-				return nil, fmt.Errorf("trace: column %d value: %w", col, err)
-			}
-			if run, off, err = readUvarint(data, off); err != nil {
-				return nil, fmt.Errorf("trace: column %d run: %w", col, err)
-			}
-			if run == 0 || run > uint64(n-i) {
-				return nil, fmt.Errorf("trace: column %d run %d overflows %d remaining", col, run, n-i)
-			}
-			if col < 5 && v > 255 {
-				return nil, fmt.Errorf("trace: column %d value %d exceeds a byte", col, v)
-			}
-			if col == 5 && v > 1<<32-1 {
-				return nil, fmt.Errorf("trace: stride %d exceeds 32 bits", v)
-			}
-			end := i + int(run)
-			switch col {
-			case 0:
-				for ; i < end; i++ {
-					dst[i].Op = Op(v)
-				}
-			case 1:
-				for ; i < end; i++ {
-					dst[i].Scope = Scope(v)
-				}
-			case 2:
-				for ; i < end; i++ {
-					dst[i].Pattern = Pattern(v)
-				}
-			case 3:
-				for ; i < end; i++ {
-					dst[i].Threads = uint8(v)
-				}
-			case 4:
-				for ; i < end; i++ {
-					dst[i].ElemBytes = uint8(v)
-				}
-			default:
-				for ; i < end; i++ {
-					dst[i].Stride = uint32(v)
-				}
-			}
-		}
-	}
-	// Seed deltas: a run of length r applies the same delta r times in
-	// succession.
-	var seed uint32
-	for i := 0; i < n; {
-		d, noff, derr := readVarint(data, off)
-		if derr != nil {
-			return nil, fmt.Errorf("trace: seed column: delta: %w", derr)
-		}
-		run, noff, rerr := readUvarint(data, noff)
-		if rerr != nil {
-			return nil, fmt.Errorf("trace: seed column: run: %w", rerr)
-		}
-		if run == 0 || run > uint64(n-i) {
-			return nil, fmt.Errorf("trace: seed column: run %d overflows %d remaining", run, n-i)
-		}
-		off = noff
-		sd := uint32(int32(d))
-		for end := i + int(run); i < end; i++ {
-			seed += sd
-			dst[i].Seed = seed
-		}
-	}
-	// Addr deltas, same shape.
-	var addr uint64
-	for i := 0; i < n; {
-		d, noff, derr := readVarint(data, off)
-		if derr != nil {
-			return nil, fmt.Errorf("trace: addr column: delta: %w", derr)
-		}
-		run, noff, rerr := readUvarint(data, noff)
-		if rerr != nil {
-			return nil, fmt.Errorf("trace: addr column: run: %w", rerr)
-		}
-		if run == 0 || run > uint64(n-i) {
-			return nil, fmt.Errorf("trace: addr column: run %d overflows %d remaining", run, n-i)
-		}
-		off = noff
-		ad := uint64(d)
-		for end := i + int(run); i < end; i++ {
-			addr += ad
-			dst[i].Addr = addr
-		}
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("trace: %d trailing bytes after block", len(data)-off)
-	}
-	for i := range dst {
-		if err := dst[i].Validate(); err != nil {
-			return nil, fmt.Errorf("trace: block record %d: %w", i, err)
-		}
-	}
-	return dst, nil
-}
-
+// readUvarint and readVarint decode one varint at data[off:]. They
+// special-case one-byte varints, which nearly every run length and most
+// values in a block are.
 func readUvarint(data []byte, off int) (uint64, int, error) {
+	if off < len(data) && data[off] < 0x80 {
+		return uint64(data[off]), off + 1, nil
+	}
+	return readUvarintSlow(data, off)
+}
+
+func readUvarintSlow(data []byte, off int) (uint64, int, error) {
 	if off >= len(data) {
 		return 0, off, fmt.Errorf("truncated at %d", off)
 	}
@@ -469,6 +342,14 @@ func readUvarint(data []byte, off int) (uint64, int, error) {
 }
 
 func readVarint(data []byte, off int) (int64, int, error) {
+	if off < len(data) && data[off] < 0x80 {
+		b := int64(data[off])
+		return b>>1 ^ -(b & 1), off + 1, nil
+	}
+	return readVarintSlow(data, off)
+}
+
+func readVarintSlow(data []byte, off int) (int64, int, error) {
 	if off >= len(data) {
 		return 0, off, fmt.Errorf("truncated at %d", off)
 	}
@@ -486,20 +367,18 @@ func readVarint(data []byte, off int) (int64, int, error) {
 type BlockDecoder struct {
 	buf     []Access
 	scratch []byte
+	runs    []colRun // the parsed runs of all columns of the current block
 }
 
 // Decode returns the decoded records of block i of c. The returned slice
 // aliases the decoder's buffer.
 func (d *BlockDecoder) Decode(c *ColumnAccesses, i int) ([]Access, error) {
-	if d.buf == nil {
-		d.buf = make([]Access, BlockAccesses)
-	}
 	data, scratch, err := c.block(i, d.scratch)
 	d.scratch = scratch
 	if err != nil {
 		return nil, err
 	}
-	out, err := decodeBlock(data, d.buf)
+	out, err := d.decodeBlock(data)
 	if err != nil {
 		return nil, fmt.Errorf("trace: block %d: %w", i, err)
 	}
@@ -507,6 +386,122 @@ func (d *BlockDecoder) Decode(c *ColumnAccesses, i int) ([]Access, error) {
 		return nil, fmt.Errorf("trace: block %d decoded %d records, index says %d", i, len(out), c.BlockLen(i))
 	}
 	return out, nil
+}
+
+// runCursor walks one column's parsed runs; runs[0] is the current run.
+type runCursor struct {
+	runs []colRun
+	left uint32 // records left in runs[0]
+}
+
+func (c *runCursor) skip(k uint32) {
+	c.left -= k
+	if c.left == 0 && len(c.runs) > 1 {
+		c.runs = c.runs[1:]
+		c.left = c.runs[0].n
+	}
+}
+
+// decodeBlock decodes one encoded block into the decoder's buffer and
+// returns the filled prefix. It parses each column's runs once, rejecting
+// truncation, empty or overflowing runs, out-of-range values and trailing
+// bytes. It then fills the records in one pass over segments on which the
+// six shape columns are constant. Access.Validate reads only those columns,
+// so it runs once per segment, and an error names the segment's first
+// record, which is the block's first invalid record. decodeBlock never
+// panics on corrupt input.
+func (d *BlockDecoder) decodeBlock(data []byte) ([]Access, error) {
+	cnt, off, err := readUvarint(data, 0)
+	if err != nil {
+		return nil, fmt.Errorf("trace: block count: %w", err)
+	}
+	if cnt == 0 || cnt > BlockAccesses {
+		return nil, fmt.Errorf("trace: block count %d out of range 1..%d", cnt, BlockAccesses)
+	}
+	n := int(cnt)
+	runs := d.runs[:0]
+	var starts [numCols + 1]int // column c's runs are runs[starts[c]:starts[c+1]]
+	for c := 0; c < numCols; c++ {
+		starts[c] = len(runs)
+		for i := 0; i < n; {
+			var v, run uint64
+			if c < colSeed {
+				v, off, err = readUvarint(data, off)
+			} else {
+				var sv int64
+				sv, off, err = readVarint(data, off)
+				v = uint64(sv)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("trace: %s column: value: %w", colNames[c], err)
+			}
+			if run, off, err = readUvarint(data, off); err != nil {
+				return nil, fmt.Errorf("trace: %s column: run: %w", colNames[c], err)
+			}
+			if run == 0 || run > uint64(n-i) {
+				return nil, fmt.Errorf("trace: %s column: run %d overflows %d remaining", colNames[c], run, n-i)
+			}
+			if c < colStride && v > 255 {
+				return nil, fmt.Errorf("trace: %s column: value %d exceeds a byte", colNames[c], v)
+			}
+			if c == colStride && v > 1<<32-1 {
+				return nil, fmt.Errorf("trace: stride %d exceeds 32 bits", v)
+			}
+			runs = append(runs, colRun{v, uint32(run)})
+			i += int(run)
+		}
+	}
+	starts[numCols] = len(runs)
+	d.runs = runs
+	if off != len(data) {
+		return nil, fmt.Errorf("trace: %d trailing bytes after block", len(data)-off)
+	}
+
+	var cur [numCols]runCursor
+	for c := range cur {
+		cur[c].runs = runs[starts[c]:starts[c+1]]
+		cur[c].left = cur[c].runs[0].n
+	}
+	if d.buf == nil {
+		d.buf = make([]Access, BlockAccesses)
+	}
+	dst := d.buf[:n]
+	var seed uint32
+	var addr uint64
+	for i := 0; i < n; {
+		seg := cur[0].left
+		for c := 1; c < numShapeCols; c++ {
+			seg = min(seg, cur[c].left)
+		}
+		a := Access{
+			Op:        Op(cur[colOp].runs[0].v),
+			Scope:     Scope(cur[colScope].runs[0].v),
+			Pattern:   Pattern(cur[colPattern].runs[0].v),
+			Threads:   uint8(cur[colThreads].runs[0].v),
+			ElemBytes: uint8(cur[colElem].runs[0].v),
+			Stride:    uint32(cur[colStride].runs[0].v),
+		}
+		if err := a.Validate(); err != nil {
+			return nil, fmt.Errorf("trace: block record %d: %w", i, err)
+		}
+		for c := 0; c < numShapeCols; c++ {
+			cur[c].skip(seg)
+		}
+		// Within the segment, fill sub-runs on which both deltas are fixed.
+		for end := i + int(seg); i < end; {
+			k := min(uint32(end-i), cur[colSeed].left, cur[colAddr].left)
+			sd, ad := uint32(cur[colSeed].runs[0].v), cur[colAddr].runs[0].v
+			for j := i + int(k); i < j; i++ {
+				seed += sd
+				addr += ad
+				a.Seed, a.Addr = seed, addr
+				dst[i] = a
+			}
+			cur[colSeed].skip(k)
+			cur[colAddr].skip(k)
+		}
+	}
+	return dst, nil
 }
 
 // columnJSON is the JSON shape of a ColumnAccesses: record count plus the
@@ -546,9 +541,9 @@ func (c *ColumnAccesses) UnmarshalJSON(data []byte) error {
 	total := 0
 	var sizes []int32
 	var compressed uint64
-	buf := make([]Access, BlockAccesses)
+	var dec BlockDecoder
 	for i, b := range cj.Blocks {
-		out, err := decodeBlock(b, buf)
+		out, err := dec.decodeBlock(b)
 		if err != nil {
 			return fmt.Errorf("trace: column block %d: %w", i, err)
 		}

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -205,43 +208,165 @@ func TestColumnJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeBlock encodes 1..BlockAccesses records as a single block.
+func encodeBlock(accs []Access) []byte { return EncodeColumns(accs).blocks[0] }
+
+// decodeOne decodes one block with a fresh decoder.
+func decodeOne(data []byte) ([]Access, error) {
+	var d BlockDecoder
+	return d.decodeBlock(data)
+}
+
+// wire builds raw block bytes from uvarints; small seed and addr deltas are
+// zigzag-coded, so a delta of 0 is the uvarint 0.
+func wire(vals ...uint64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
 func TestDecodeBlockRejectsCorrupt(t *testing.T) {
-	blk := appendBlock(nil, randomAccesses(500, 3))
-	buf := make([]Access, BlockAccesses)
-	if _, err := decodeBlock(blk, buf); err != nil {
+	blk := encodeBlock(randomAccesses(500, 3))
+	if _, err := decodeOne(blk); err != nil {
 		t.Fatalf("valid block rejected: %v", err)
 	}
 	// Truncations at every length and single-byte flips at every position
 	// must error or decode to something re-encodable — never panic.
 	for cut := 0; cut < len(blk); cut++ {
-		if _, err := decodeBlock(blk[:cut], buf); err == nil {
+		if _, err := decodeOne(blk[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	for i := 0; i < len(blk); i++ {
 		c := append([]byte{}, blk...)
 		c[i] ^= 0xff
-		out, err := decodeBlock(c, buf)
+		out, err := decodeOne(c)
 		if err != nil {
 			continue
 		}
-		re := appendBlock(nil, out)
-		if _, err := decodeBlock(re, buf); err != nil {
+		if _, err := decodeOne(encodeBlock(out)); err != nil {
 			t.Fatalf("flip at %d: accepted block does not re-encode: %v", i, err)
 		}
 	}
-	// Structural hazards.
-	for name, data := range map[string][]byte{
-		"empty":       {},
-		"zero count":  {0},
-		"huge count":  {0xff, 0xff, 0x7f},
-		"no columns":  {5},
-		"overrun run": {2, 0, 200},
+}
+
+// TestDecodeBlockErrorClasses covers every class of corruption the block
+// decoder rejects, each with the error it must report. shape is one valid
+// record's six shape columns (op, scope, pattern, threads, elem, stride).
+func TestDecodeBlockErrorClasses(t *testing.T) {
+	shape := []uint64{0, 1, 0, 1, 0, 1, 32, 1, 4, 1, 0, 1}
+	one := func(tail ...uint64) []byte { return wire(append(append([]uint64{1}, shape...), tail...)...) }
+	if _, err := decodeOne(one(0, 1, 0, 1)); err != nil {
+		t.Fatalf("valid one-record block rejected: %v", err)
+	}
+	badVarint := bytes.Repeat([]byte{0xff}, 11)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"empty", nil, "block count: truncated"},
+		{"bad count varint", badVarint, "block count: bad uvarint"},
+		{"zero count", wire(0), "block count 0 out of range"},
+		{"huge count", wire(BlockAccesses + 1), "out of range 1..4096"},
+		{"no columns", wire(5), "op column: value: truncated"},
+		{"no run", wire(5, 0), "op column: run: truncated"},
+		{"bad run varint", append(wire(5, 0), badVarint...), "op column: run: bad uvarint"},
+		{"zero run", wire(2, 0, 0), "op column: run 0 overflows 2 remaining"},
+		{"overrun run", wire(2, 0, 3), "op column: run 3 overflows 2 remaining"},
+		{"second run overruns", wire(3, 0, 2, 1, 2), "op column: run 2 overflows 1 remaining"},
+		{"op exceeds a byte", wire(1, 256, 1), "op column: value 256 exceeds a byte"},
+		{"elem exceeds a byte", wire(1, 0, 1, 0, 1, 0, 1, 32, 1, 300, 1), "elem column: value 300 exceeds a byte"},
+		{"stride exceeds 32 bits", wire(1, 0, 1, 0, 1, 0, 1, 32, 1, 4, 1, 1<<32, 1), "stride 4294967296 exceeds 32 bits"},
+		{"no seed", one(), "seed column: value: truncated"},
+		{"bad seed varint", append(one(), badVarint...), "seed column: value: bad varint"},
+		{"zero seed run", one(0, 0), "seed column: run 0 overflows 1 remaining"},
+		{"overrun seed run", one(0, 2), "seed column: run 2 overflows 1 remaining"},
+		{"no addr", one(0, 1), "addr column: value: truncated"},
+		{"no addr run", one(0, 1, 0), "addr column: run: truncated"},
+		{"zero addr run", one(0, 1, 0, 0), "addr column: run 0 overflows 1 remaining"},
+		{"overrun addr run", one(0, 1, 0, 2), "addr column: run 2 overflows 1 remaining"},
+		{"trailing bytes", one(0, 1, 0, 1, 0), "1 trailing bytes after block"},
+		{"invalid op", wire(1, 4, 1, 0, 1, 0, 1, 32, 1, 4, 1, 0, 1, 0, 1, 0, 1), "block record 0: trace: invalid op 4"},
+		{"invalid scope", wire(1, 0, 1, 4, 1, 0, 1, 32, 1, 4, 1, 0, 1, 0, 1, 0, 1), "block record 0: trace: invalid scope 4"},
+		{"zero threads", wire(1, 0, 1, 0, 1, 0, 1, 0, 1, 4, 1, 0, 1, 0, 1, 0, 1), "block record 0: trace: 0 active lanes"},
+		{"33 threads", wire(1, 0, 1, 0, 1, 0, 1, 33, 1, 4, 1, 0, 1, 0, 1, 0, 1), "block record 0: trace: 33 active lanes"},
+		{"odd elem", wire(1, 0, 1, 0, 1, 0, 1, 32, 1, 3, 1, 0, 1, 0, 1, 0, 1), "block record 0: trace: element size 3"},
+		{"invalid pattern", wire(1, 0, 1, 0, 1, 3, 1, 32, 1, 4, 1, 0, 1, 0, 1, 0, 1), "block record 0: trace: invalid pattern 3"},
+		{"empty scatter window", wire(1, 0, 1, 0, 1, 2, 1, 32, 1, 4, 1, 0, 1, 0, 1, 0, 1), "block record 0: trace: scattered access with empty window"},
 	} {
-		if _, err := decodeBlock(data, buf); err == nil {
-			t.Fatalf("%s accepted", name)
+		_, err := decodeOne(tc.data)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestDecodeBlockNamesFirstInvalidRecord checks that per-segment validation
+// reports the same record index per-record validation would: the first
+// invalid record, even when it sits in the middle of every other column's
+// run or after many short valid segments.
+func TestDecodeBlockNamesFirstInvalidRecord(t *testing.T) {
+	midRun := stencilAccesses(BlockAccesses)
+	for i := 2999; i < 3500; i++ {
+		midRun[i].Threads = 0
+	}
+	afterSegment := stencilAccesses(BlockAccesses)
+	for i := 1000; i < BlockAccesses; i++ {
+		afterSegment[i].Pattern = PatScattered
+		afterSegment[i].Seed = uint32(i) * 2654435761
+		afterSegment[i].Stride = 8
+	}
+	afterSegment[1700].Stride = 0
+	short := shortSegmentAccesses(BlockAccesses)
+	short[4000].ElemBytes = 5
+	for _, tc := range []struct {
+		name string
+		accs []Access
+		want int
+	}{
+		{"threads 0 mid-run", midRun, 2999},
+		{"scattered stride 0 after a valid segment", afterSegment, 1700},
+		{"after many short segments", short, 4000},
+	} {
+		_, err := decodeOne(encodeBlock(tc.accs))
+		want := fmt.Sprintf("block record %d:", tc.want)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want it to name %q", tc.name, err, want)
+		}
+		// The same verdict through the public decoder.
+		var dec BlockDecoder
+		if _, err := dec.Decode(EncodeColumns(tc.accs), 0); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Decode error %v, want it to name %q", tc.name, err, want)
+		}
+	}
+	want := shortSegmentAccesses(BlockAccesses)
+	got, err := decodeOne(encodeBlock(want))
+	if err != nil {
+		t.Fatalf("valid short-segment block rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("short-segment block round trip diverged")
+	}
+}
+
+// shortSegmentAccesses is a valid stream whose shape columns change every
+// one to three records, so decoding walks thousands of short segments while
+// the address and seed columns keep their own, differently aligned runs.
+func shortSegmentAccesses(n int) []Access {
+	out := make([]Access, n)
+	for i := range out {
+		out[i] = Access{
+			Op: Op(i / 3 % 3), Scope: Scope(i / 2 % 4), Pattern: PatStrided,
+			Threads: uint8(1 + i%32), ElemBytes: 4, Stride: uint32(i / 5 % 7),
+			Seed: uint32(i / 11), Addr: uint64(i/7) * 256,
+		}
+	}
+	return out
 }
 
 func TestKernelEachBlockBothForms(t *testing.T) {

@@ -138,12 +138,8 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 	if v != version {
 		return nil, fmt.Errorf("trace: unsupported stream version %d", v)
 	}
-	metaLen, err := binary.ReadUvarint(br)
+	metaJSON, err := readMeta(br)
 	if err != nil {
-		return nil, err
-	}
-	metaJSON := make([]byte, metaLen)
-	if _, err := io.ReadFull(br, metaJSON); err != nil {
 		return nil, err
 	}
 	d := &StreamDecoder{r: br}

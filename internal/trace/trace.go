@@ -119,7 +119,9 @@ func (a Access) Bytes() uint64 {
 // IsWrite reports whether the access modifies memory.
 func (a Access) IsWrite() bool { return a.Op == OpStore || a.Op == OpAtomic }
 
-// Validate reports structurally invalid accesses.
+// Validate reports structurally invalid accesses. It reads only Op, Scope,
+// Pattern, Threads, ElemBytes and Stride: block decode relies on that to
+// validate once per segment on which those columns are constant.
 func (a Access) Validate() error {
 	if a.Op > OpFence {
 		return fmt.Errorf("trace: invalid op %d", a.Op)

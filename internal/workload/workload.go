@@ -165,9 +165,10 @@ func (a *app) Phases(yield func(*trace.Phase) bool) {
 }
 
 // kernelBuilder accumulates the access stream of one kernel, compressing it
-// into columnar blocks as it goes: the builder holds at most one block of
-// pending records, so even multi-million-instruction kernels are built in
-// constant memory and never exist in flat form.
+// into columnar blocks as it goes: the encoder holds only the current
+// block's column runs, and contiguous ranges go in as one address run, so
+// even multi-million-instruction kernels are built without ever existing
+// as records.
 type kernelBuilder struct {
 	k   trace.Kernel
 	enc trace.ColumnEncoder
@@ -176,8 +177,6 @@ type kernelBuilder struct {
 func newKernel(gpu int, name string, computeOps uint64) *kernelBuilder {
 	return &kernelBuilder{k: trace.Kernel{GPU: gpu, Name: name, ComputeOps: computeOps}}
 }
-
-func (b *kernelBuilder) add(a trace.Access) { b.enc.Append(a) }
 
 func (b *kernelBuilder) build() trace.Kernel {
 	b.k.Col = b.enc.Finish()
@@ -192,12 +191,10 @@ func (b *kernelBuilder) loads(base, bytes uint64) { b.rangeOps(trace.OpLoad, bas
 func (b *kernelBuilder) stores(base, bytes uint64) { b.rangeOps(trace.OpStore, base, bytes) }
 
 func (b *kernelBuilder) rangeOps(op trace.Op, base, bytes uint64) {
-	for off := uint64(0); off < bytes; off += LineBytes {
-		b.add(trace.Access{
-			Op: op, Scope: trace.ScopeWeak, Pattern: trace.PatContiguous,
-			Threads: 32, ElemBytes: 4, Addr: base + off,
-		})
-	}
+	b.enc.AppendRun(trace.Access{
+		Op: op, Scope: trace.ScopeWeak, Pattern: trace.PatContiguous,
+		Threads: 32, ElemBytes: 4, Addr: base,
+	}, int((bytes+LineBytes-1)/LineBytes), LineBytes)
 }
 
 // storesMultiPass writes [base, base+bytes) in blocks of blockLines cache
@@ -229,12 +226,7 @@ func (b *kernelBuilder) storesMultiPassSet(base, bytes uint64, passes int, block
 			blockEnd = lines
 		}
 		for p := 0; p < passes; p++ {
-			for l := blockStart; l < blockEnd; l++ {
-				b.add(trace.Access{
-					Op: trace.OpStore, Scope: trace.ScopeWeak, Pattern: trace.PatContiguous,
-					Threads: 32, ElemBytes: 4, Addr: base + l*LineBytes,
-				})
-			}
+			b.stores(base+blockStart*LineBytes, (blockEnd-blockStart)*LineBytes)
 		}
 		blockStart = blockEnd
 	}
@@ -283,7 +275,7 @@ func (b *kernelBuilder) scatteredLanes(op trace.Op, base, windowBytes uint64, co
 		if segLines > (1<<32)-1 {
 			panic("workload: scatter window too large")
 		}
-		b.add(trace.Access{
+		b.enc.Append(trace.Access{
 			Op: op, Scope: trace.ScopeWeak, Pattern: trace.PatScattered,
 			Threads: lanes, ElemBytes: 4,
 			Stride: uint32(segLines),
