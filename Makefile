@@ -102,4 +102,5 @@ chaos:
 	$(GO) test -fuzz=FuzzDecodeTrace -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzColumnBlock -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzColumnEncoderRuns -fuzztime=10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz=FuzzSpanSplit -fuzztime=10s ./internal/paradigm/
 	sh scripts/chaos_smoke.sh

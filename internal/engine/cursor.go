@@ -11,49 +11,73 @@ import (
 const _ = uint(-(trace.BlockAccesses % chunk))
 
 // blockCursor serves sequential windows of one kernel's instruction stream
-// regardless of storage form: flat kernels are sliced directly; columnar
-// kernels decode one block at a time into the cursor's private decoder
-// buffer, so a full []Access is never materialized during replay. Each
-// kernel slot in a replay owns its own cursor, because the round-robin
-// revisits kernels while their neighbors' windows are live.
+// as runs, regardless of storage form: columnar kernels decode one block at
+// a time into runs through the cursor's private decoder, and flat kernels
+// enter as one-record runs, so a full []Access is never materialized during
+// replay. Each kernel slot in a replay owns its own cursor, because the
+// round-robin revisits kernels while their neighbors' windows are live.
 type blockCursor struct {
-	flat       []trace.Access
-	col        *trace.ColumnAccesses
-	dec        trace.BlockDecoder
-	cur        []trace.Access // decoded records of block blockIdx
-	blockIdx   int
-	blockStart int
-	n          int
+	flat     []trace.Access
+	col      *trace.ColumnAccesses
+	dec      trace.BlockDecoder
+	runs     []trace.Run // decoded runs of block blockIdx
+	blockIdx int
+	ri       int // first run not wholly before the last window's end
+	riStart  int // record index of runs[ri] within the block
+	n        int
+	out      []trace.Run // the current window
 }
 
 // reset points the cursor at k's stream, keeping the decode buffers.
 func (c *blockCursor) reset(k *trace.Kernel) {
 	c.flat = k.Accesses
 	c.col = k.Col
-	c.cur = nil
+	c.runs = nil
 	c.blockIdx = -1
-	c.blockStart = 0
 	c.n = k.NumAccesses()
 }
 
-// window returns records [start, end). Both bounds must fall inside one
-// block (guaranteed by chunk | BlockAccesses); the slice is valid until the
-// next window call on this cursor. Decode and spill-read failures panic —
-// the engine has no error path per access, traces are validated at
-// construction, and the experiment runner's panic fences turn the panic
-// into a typed cell error.
-func (c *blockCursor) window(start, end int) []trace.Access {
+// window returns records [start, end) as runs clipped to the window. Both
+// bounds must fall inside one block (guaranteed by chunk | BlockAccesses),
+// and windows must be requested in increasing order within a block. The
+// slice is valid until the next window call on this cursor. Decode and
+// spill-read failures panic — the engine has no error path per access,
+// traces are validated at construction, and the experiment runner's panic
+// fences turn the panic into a typed cell error.
+func (c *blockCursor) window(start, end int) []trace.Run {
+	out := c.out[:0]
 	if c.col == nil {
-		return c.flat[start:end]
+		for _, a := range c.flat[start:end] {
+			out = append(out, trace.Run{A: a, N: 1})
+		}
+		c.out = out
+		return out
 	}
 	if bi := start / trace.BlockAccesses; bi != c.blockIdx {
-		accs, err := c.dec.Decode(c.col, bi)
+		runs, err := c.dec.DecodeRuns(c.col, bi)
 		if err != nil {
 			panic(fmt.Sprintf("engine: decoding trace block %d: %v", bi, err))
 		}
-		c.blockIdx = bi
-		c.blockStart = bi * trace.BlockAccesses
-		c.cur = accs
+		c.blockIdx, c.runs, c.ri, c.riStart = bi, runs, 0, 0
 	}
-	return c.cur[start-c.blockStart : end-c.blockStart]
+	lo := uint32(start % trace.BlockAccesses)
+	hi := lo + uint32(end-start)
+	for c.riStart+int(c.runs[c.ri].N) <= int(lo) {
+		c.riStart += int(c.runs[c.ri].N)
+		c.ri++
+	}
+	for i, at := c.ri, uint32(c.riStart); at < hi; i++ {
+		r := c.runs[i]
+		if at < lo {
+			r.A, r.N = r.At(lo-at), r.N-(lo-at)
+			at = lo
+		}
+		if at+r.N > hi {
+			r.N = hi - at
+		}
+		out = append(out, r)
+		at += r.N
+	}
+	c.out = out
+	return out
 }

@@ -158,17 +158,12 @@ type Model interface {
 	Finish(res *Result)
 }
 
-// Batch is one chunk of a kernel's instruction stream after coalescing:
-// instruction i touched Lines[Offs[i]:Offs[i+1]]. All three slices are
-// reused by the replay loop between chunks.
+// Batch is one chunk of one GPU's instruction stream after coalescing: the
+// ordered spans of lines the chunk touches, one zero-line span per fence.
+// The replay loop reuses the slice between chunks.
 type Batch struct {
-	Accs  []trace.Access
-	Offs  []int32  // len(Accs)+1 offsets into Lines
-	Lines []uint64 // line-aligned addresses, coalesced per instruction
+	Spans []Span
 }
-
-// LinesOf returns the coalesced lines of instruction i.
-func (b *Batch) LinesOf(i int) []uint64 { return b.Lines[b.Offs[i]:b.Offs[i+1]] }
 
 // chunk is the number of consecutive warp instructions one GPU executes
 // before the replay rotates to the next GPU's kernel, approximating the
@@ -266,12 +261,9 @@ func RunFused(prog trace.Program, models []Model, po PhaseObserver) []*Result {
 					end = r.n
 					remaining--
 				}
-				batch.Accs = r.window(cursors[ki], end)
-				batch.Offs = append(batch.Offs[:0], 0)
-				batch.Lines = batch.Lines[:0]
-				for _, a := range batch.Accs {
-					batch.Lines = exp.AppendLines(batch.Lines, a)
-					batch.Offs = append(batch.Offs, int32(len(batch.Lines)))
+				batch.Spans = batch.Spans[:0]
+				for _, run := range r.window(cursors[ki], end) {
+					batch.Spans = exp.AppendSpans(batch.Spans, run)
 				}
 				gpu := ph.Kernels[ki].GPU
 				for _, m := range models {
@@ -333,53 +325,37 @@ func ScanSharing(prog trace.Program, phases int, pageBytes uint64) map[uint64]*S
 	acc := memsys.NewPageMap[Sharing](pageBytes)
 	exp := NewExpander(LineBytes)
 	pageShift := shiftFor(pageBytes)
-	// Consecutive lines almost always fall in the same 8 GB region slot and
-	// the same page, so cache the last slot -> region and page -> Sharing
-	// resolutions instead of re-resolving per line. ^0 sentinels can never
-	// collide with a real slot or VPN (addresses are 49-bit).
-	lastSlot := ^uint64(0)
-	var lastRegion *trace.Region
-	lastVPN := ^uint64(0)
-	var lastSharing *Sharing
-	var dec trace.BlockDecoder
+	var cur blockCursor
+	var spans []Span
 	prog.Phases(func(ph *trace.Phase) bool {
 		if ph.Index >= phases {
 			return false
 		}
 		for ki := range ph.Kernels {
 			k := &ph.Kernels[ki]
-			err := k.EachBlock(&dec, func(accs []trace.Access) bool {
-				for _, a := range accs {
-					if a.Op == trace.OpFence {
-						continue
-					}
-					for _, line := range exp.Expand(a) {
-						if slot := line >> regionSlotShift; slot != lastSlot {
-							lastSlot = slot
-							lastRegion = shared.SlotRegion(slot)
+			bit := uint64(1) << k.GPU
+			cur.reset(k)
+			for start := 0; start < cur.n; start += chunk {
+				spans = spans[:0]
+				for _, run := range cur.window(start, min(start+chunk, cur.n)) {
+					spans = exp.AppendSpans(spans, run)
+				}
+				for _, s := range spans {
+					for line, n := s.Line, s.N; n > 0; {
+						p, r := shared.SharedPiece(line, n, pageShift)
+						if r != nil {
+							sh := acc.At(line >> pageShift)
+							if s.IsWrite() {
+								sh.Writers |= bit
+								sh.WriteCount[k.GPU] += uint64(p)
+							} else {
+								sh.Readers |= bit
+							}
 						}
-						r := lastRegion
-						if r == nil || r.Kind != trace.RegionShared ||
-							line < r.Base || line-r.Base >= r.Size {
-							continue
-						}
-						vpn := line >> pageShift
-						if vpn != lastVPN {
-							lastVPN = vpn
-							lastSharing = acc.At(vpn)
-						}
-						if a.IsWrite() {
-							lastSharing.Writers |= 1 << k.GPU
-							lastSharing.WriteCount[k.GPU]++
-						} else {
-							lastSharing.Readers |= 1 << k.GPU
-						}
+						line += uint64(p) * LineBytes
+						n -= p
 					}
 				}
-				return true
-			})
-			if err != nil {
-				panic(fmt.Sprintf("engine: scanning kernel %q: %v", k.Name, err))
 			}
 		}
 		return true
@@ -445,19 +421,32 @@ func NewRegionTable(regions []trace.Region) *RegionTable {
 
 // Lookup returns the region containing va, or nil.
 func (t *RegionTable) Lookup(va uint64) *trace.Region {
-	r := t.SlotRegion(va >> regionSlotShift)
+	slot := va >> regionSlotShift
+	if slot >= uint64(len(t.bySlot)) {
+		return nil
+	}
+	r := t.bySlot[slot]
 	if r == nil || va < r.Base || va-r.Base >= r.Size {
 		return nil
 	}
 	return r
 }
 
-// SlotRegion returns the region registered in an 8 GB slot (or nil) without
-// the bounds check, for callers that cache the resolution per slot and do
-// their own per-address bounds test.
-func (t *RegionTable) SlotRegion(slot uint64) *trace.Region {
-	if slot >= uint64(len(t.bySlot)) {
-		return nil
+// SharedPiece returns the length p of the longest prefix of the n lines
+// starting at line (1 <= p <= n) that stays inside one page of 1<<pageShift
+// bytes and on one side of the end of the shared region containing line,
+// and that region, or nil when the prefix lies outside every shared region.
+// Every line of the prefix therefore resolves to the same page and the same
+// region. Region ends are computed without overflow.
+func (t *RegionTable) SharedPiece(line uint64, n uint32, pageShift uint) (p uint32, shared *trace.Region) {
+	pageLines := (1<<pageShift - line&(1<<pageShift-1)) / LineBytes
+	p = uint32(min(uint64(n), pageLines))
+	r := t.Lookup(line)
+	if r == nil || r.Kind != trace.RegionShared {
+		return p, nil
 	}
-	return t.bySlot[slot]
+	if left := r.Size - (line - r.Base); left < uint64(p)*LineBytes {
+		p = uint32((left + LineBytes - 1) / LineBytes)
+	}
+	return p, r
 }

@@ -8,19 +8,22 @@ import (
 	"gps/internal/trace"
 )
 
-// recordingModel captures what the engine feeds a paradigm model.
+// recordingModel captures what the engine feeds a paradigm model, one
+// entry per line and one per fence.
 type recordingModel struct {
 	phases    []int
-	accesses  []recordedAccess
+	accesses  []recordedLine
 	endPhases []int
 	finished  bool
 	profiles  []Profile
 }
 
-type recordedAccess struct {
+// recordedLine is one line a model saw; a fence has line 0.
+type recordedLine struct {
 	gpu   int
 	op    trace.Op
-	lines []uint64
+	scope trace.Scope
+	line  uint64
 }
 
 func (m *recordingModel) Name() string { return "recorder" }
@@ -29,13 +32,27 @@ func (m *recordingModel) BeginPhase(i int, profiles []Profile) {
 	m.profiles = profiles
 }
 func (m *recordingModel) Access(gpu int, b *Batch) {
-	for i, a := range b.Accs {
-		cp := append([]uint64{}, b.LinesOf(i)...)
-		m.accesses = append(m.accesses, recordedAccess{gpu: gpu, op: a.Op, lines: cp})
+	for _, s := range b.Spans {
+		if s.Op == trace.OpFence {
+			m.accesses = append(m.accesses, recordedLine{gpu, s.Op, s.Scope, 0})
+		}
+		for _, line := range spanLines([]Span{s}) {
+			m.accesses = append(m.accesses, recordedLine{gpu, s.Op, s.Scope, line})
+		}
 	}
 }
 func (m *recordingModel) EndPhase(i int) { m.endPhases = append(m.endPhases, i) }
 func (m *recordingModel) Finish(*Result) { m.finished = true }
+
+// storeLines returns the lines gpu stores to for instructions [from, to) of
+// a twoGPUProgram kernel based at base.
+func storeLines(gpu int, base uint64, from, to int) []recordedLine {
+	var out []recordedLine
+	for i := from; i < to; i++ {
+		out = append(out, recordedLine{gpu, trace.OpStore, trace.ScopeWeak, base + uint64(i)*128})
+	}
+	return out
+}
 
 func twoGPUProgram() *trace.Recorded {
 	mk := func(gpu int, n int, base uint64) trace.Kernel {
@@ -68,8 +85,22 @@ func TestRunDrivesModelThroughAllPhases(t *testing.T) {
 	if !m.finished {
 		t.Fatal("Finish not called")
 	}
-	if len(m.accesses) != 310 {
-		t.Fatalf("accesses = %d, want 310", len(m.accesses))
+	// Every instruction is one aligned line: each GPU sees its kernel's
+	// lines in program order, phase 0 before phase 1.
+	var g0, g1 []recordedLine
+	for _, a := range m.accesses {
+		if a.gpu == 0 {
+			g0 = append(g0, a)
+		} else {
+			g1 = append(g1, a)
+		}
+	}
+	want0 := append(storeLines(0, 1<<33, 0, 200), storeLines(0, 1<<33, 0, 10)...)
+	if !reflect.DeepEqual(g0, want0) {
+		t.Fatalf("GPU0 saw %d lines, want %d in program order", len(g0), len(want0))
+	}
+	if want1 := storeLines(1, 1<<33+1<<19, 0, 100); !reflect.DeepEqual(g1, want1) {
+		t.Fatalf("GPU1 saw %d lines, want %d in program order", len(g1), len(want1))
 	}
 	if len(res.Phases) != 2 {
 		t.Fatalf("result phases = %d", len(res.Phases))
@@ -82,23 +113,25 @@ func TestRunDrivesModelThroughAllPhases(t *testing.T) {
 func TestRunInterleavesKernelsInChunks(t *testing.T) {
 	m := &recordingModel{}
 	Run(twoGPUProgram(), m)
-	// Phase 0 has 200 accesses on GPU0 and 100 on GPU1; chunked round-robin
-	// means GPU1 must appear before GPU0 finishes.
-	firstG1 := -1
-	lastG0 := -1
-	for i, a := range m.accesses[:300] {
-		if a.gpu == 1 && firstG1 < 0 {
-			firstG1 = i
-		}
-		if a.gpu == 0 {
-			lastG0 = i
-		}
+	// Phase 0 has 200 instructions on GPU0 and 100 on GPU1: the replay
+	// rotates between the kernels every 64 instructions until each ends.
+	const a, b = 1 << 33, 1<<33 + 1<<19
+	var want []recordedLine
+	for _, part := range [][]recordedLine{
+		storeLines(0, a, 0, 64), storeLines(1, b, 0, 64),
+		storeLines(0, a, 64, 128), storeLines(1, b, 64, 100),
+		storeLines(0, a, 128, 192), storeLines(0, a, 192, 200),
+		storeLines(0, a, 0, 10), // phase 1
+	} {
+		want = append(want, part...)
 	}
-	if firstG1 < 0 || firstG1 > 128 {
-		t.Fatalf("GPU1 first ran at position %d; expected early interleaving", firstG1)
-	}
-	if lastG0 < firstG1 {
-		t.Fatal("GPU0 finished entirely before GPU1 started: no interleaving")
+	if !reflect.DeepEqual(m.accesses, want) {
+		for i := range want {
+			if i >= len(m.accesses) || m.accesses[i] != want[i] {
+				t.Fatalf("line %d: got %+v, want %+v", i, m.accesses[min(i, len(m.accesses)-1)], want[i])
+			}
+		}
+		t.Fatalf("got %d lines, want %d", len(m.accesses), len(want))
 	}
 }
 
@@ -234,7 +267,7 @@ func TestRunEmptyKernelTerminates(t *testing.T) {
 }
 
 func TestRunIsDeterministic(t *testing.T) {
-	run := func() []recordedAccess {
+	run := func() []recordedLine {
 		m := &recordingModel{}
 		Run(twoGPUProgram(), m)
 		return m.accesses

@@ -7,10 +7,26 @@ import (
 	"gps/internal/trace"
 )
 
+// expand returns the lines of one instruction, in order.
+func expand(e *Expander, a trace.Access) []uint64 {
+	return spanLines(e.AppendSpans(nil, trace.Run{A: a, N: 1}))
+}
+
+// spanLines lists the lines of spans, in order.
+func spanLines(spans []Span) []uint64 {
+	var lines []uint64
+	for _, s := range spans {
+		for i := uint32(0); i < s.N; i++ {
+			lines = append(lines, s.Line+uint64(i)*LineBytes)
+		}
+	}
+	return lines
+}
+
 func TestExpandContiguousSingleLine(t *testing.T) {
 	e := NewExpander(128)
 	// 32 lanes x 4 B starting line-aligned: exactly one line.
-	lines := e.Expand(trace.Access{Op: trace.OpLoad, Pattern: trace.PatContiguous,
+	lines := expand(e, trace.Access{Op: trace.OpLoad, Pattern: trace.PatContiguous,
 		Threads: 32, ElemBytes: 4, Addr: 256})
 	if len(lines) != 1 || lines[0] != 256 {
 		t.Fatalf("lines = %v, want [256]", lines)
@@ -20,13 +36,13 @@ func TestExpandContiguousSingleLine(t *testing.T) {
 func TestExpandContiguousStraddle(t *testing.T) {
 	e := NewExpander(128)
 	// Misaligned base straddles two lines.
-	lines := e.Expand(trace.Access{Op: trace.OpLoad, Pattern: trace.PatContiguous,
+	lines := expand(e, trace.Access{Op: trace.OpLoad, Pattern: trace.PatContiguous,
 		Threads: 32, ElemBytes: 4, Addr: 64})
 	if len(lines) != 2 || lines[0] != 0 || lines[1] != 128 {
 		t.Fatalf("lines = %v, want [0 128]", lines)
 	}
 	// 32 lanes x 8 B = 256 B aligned: two lines.
-	lines = e.Expand(trace.Access{Op: trace.OpLoad, Pattern: trace.PatContiguous,
+	lines = expand(e, trace.Access{Op: trace.OpLoad, Pattern: trace.PatContiguous,
 		Threads: 32, ElemBytes: 8, Addr: 0})
 	if len(lines) != 2 {
 		t.Fatalf("wide access lines = %v", lines)
@@ -36,13 +52,13 @@ func TestExpandContiguousStraddle(t *testing.T) {
 func TestExpandStrided(t *testing.T) {
 	e := NewExpander(128)
 	// Stride 256: every lane on its own line.
-	lines := e.Expand(trace.Access{Op: trace.OpLoad, Pattern: trace.PatStrided,
+	lines := expand(e, trace.Access{Op: trace.OpLoad, Pattern: trace.PatStrided,
 		Threads: 8, ElemBytes: 4, Stride: 256, Addr: 0})
 	if len(lines) != 8 {
 		t.Fatalf("got %d lines, want 8", len(lines))
 	}
 	// Stride 32: four lanes share each line.
-	lines = e.Expand(trace.Access{Op: trace.OpLoad, Pattern: trace.PatStrided,
+	lines = expand(e, trace.Access{Op: trace.OpLoad, Pattern: trace.PatStrided,
 		Threads: 8, ElemBytes: 4, Stride: 32, Addr: 0})
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2 (coalesced)", len(lines))
@@ -53,8 +69,8 @@ func TestExpandScatteredDeterministicAndBounded(t *testing.T) {
 	e := NewExpander(128)
 	a := trace.Access{Op: trace.OpAtomic, Pattern: trace.PatScattered,
 		Threads: 32, ElemBytes: 4, Stride: 1000, Seed: 42, Addr: 128 * 4096}
-	first := append([]uint64{}, e.Expand(a)...)
-	second := e.Expand(a)
+	first := expand(e, a)
+	second := expand(e, a)
 	if len(first) != len(second) {
 		t.Fatal("scatter not deterministic")
 	}
@@ -79,7 +95,7 @@ func TestExpandScatteredDeterministicAndBounded(t *testing.T) {
 
 func TestExpandScatteredNoDuplicates(t *testing.T) {
 	e := NewExpander(128)
-	lines := e.Expand(trace.Access{Op: trace.OpStore, Pattern: trace.PatScattered,
+	lines := expand(e, trace.Access{Op: trace.OpStore, Pattern: trace.PatScattered,
 		Threads: 32, ElemBytes: 4, Stride: 4, Seed: 9, Addr: 0})
 	// Window of 4 lines with 32 lanes: after coalescing at most 4 lines.
 	if len(lines) > 4 {
@@ -97,8 +113,8 @@ func TestExpandScatteredNoDuplicates(t *testing.T) {
 func TestExpandScatteredZeroStride(t *testing.T) {
 	e := NewExpander(128)
 	// A zero window would be a divide-by-zero; trace.Validate rejects it but
-	// Expand must survive hand-built traces: degenerate to a single line.
-	lines := e.Expand(trace.Access{Op: trace.OpStore, Pattern: trace.PatScattered,
+	// the expander must survive hand-built traces: degenerate to a single line.
+	lines := expand(e, trace.Access{Op: trace.OpStore, Pattern: trace.PatScattered,
 		Threads: 32, ElemBytes: 4, Stride: 0, Seed: 7, Addr: 128 * 10})
 	if len(lines) != 1 || lines[0] != 128*10 {
 		t.Fatalf("lines = %v, want [%d]", lines, 128*10)
@@ -107,7 +123,7 @@ func TestExpandScatteredZeroStride(t *testing.T) {
 
 func TestExpandFence(t *testing.T) {
 	e := NewExpander(128)
-	if lines := e.Expand(trace.Access{Op: trace.OpFence, Scope: trace.ScopeSys}); len(lines) != 0 {
+	if lines := expand(e, trace.Access{Op: trace.OpFence, Scope: trace.ScopeSys}); len(lines) != 0 {
 		t.Fatal("fence should touch no lines")
 	}
 }
@@ -124,7 +140,7 @@ func TestExpandProperty(t *testing.T) {
 			Stride: stride%8192 + 1, Seed: seed,
 			Addr: addr % (1 << 40),
 		}
-		lines := e.Expand(a)
+		lines := expand(e, a)
 		if len(lines) == 0 || len(lines) > 64 {
 			return false
 		}
@@ -174,19 +190,21 @@ func TestRegionTableRejectsMisaligned(t *testing.T) {
 func BenchmarkExpandContiguous(b *testing.B) {
 	e := NewExpander(128)
 	a := trace.Access{Op: trace.OpLoad, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: 0}
+	var spans []Span
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.Addr = uint64(i%4096) * 128
-		e.Expand(a)
+		spans = e.AppendSpans(spans[:0], trace.Run{A: a, N: 1})
 	}
 }
 
 func BenchmarkExpandScattered(b *testing.B) {
 	e := NewExpander(128)
 	a := trace.Access{Op: trace.OpAtomic, Pattern: trace.PatScattered, Threads: 32, ElemBytes: 4, Stride: 4096, Addr: 0}
+	var spans []Span
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.Seed = uint32(i)
-		e.Expand(a)
+		spans = e.AppendSpans(spans[:0], trace.Run{A: a, N: 1})
 	}
 }

@@ -82,6 +82,7 @@ func simulateL2(spec workload.Spec, opt Options, gpus int) (float64, error) {
 		paths[g] = gpu.NewMemoryPath(g, gpu.V100L2())
 	}
 	exp := engine.NewExpander(engine.LineBytes)
+	var spans []engine.Span
 	var dec trace.BlockDecoder
 	var decErr error
 	prog.Phases(func(ph *trace.Phase) bool {
@@ -95,12 +96,14 @@ func simulateL2(spec workload.Spec, opt Options, gpus int) (float64, error) {
 			k := &ph.Kernels[ki]
 			path := paths[k.GPU]
 			decErr = k.EachBlock(&dec, func(accs []trace.Access) bool {
+				spans = spans[:0]
 				for _, a := range accs {
-					if a.Op == trace.OpFence {
-						continue
-					}
-					for _, line := range exp.Expand(a) {
-						if a.IsWrite() {
+					spans = exp.AppendSpans(spans, trace.Run{A: a, N: 1})
+				}
+				for _, s := range spans {
+					for i := uint32(0); i < s.N; i++ {
+						line := s.Line + uint64(i)*engine.LineBytes
+						if s.IsWrite() {
 							path.Store(line)
 						} else {
 							path.Load(line)

@@ -185,18 +185,20 @@ func (m *gpsModel) isManual(vpn uint64) bool {
 func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	wq := m.wq[gpu]
-	for i := range b.Accs {
-		a := &b.Accs[i]
-		if a.Op == trace.OpFence {
-			if a.Scope == trace.ScopeSys {
+	for _, s := range b.Spans {
+		if s.Op == trace.OpFence {
+			if s.Scope == trace.ScopeSys {
 				wq.Flush()
 			}
 			continue
 		}
-		for _, line := range b.LinesOf(i) {
+		// Per line: TLB hit statistics and write-queue coalescing are
+		// line-granular.
+		for i := uint32(0); i < s.N; i++ {
+			line := s.Line + uint64(i)*lineBytes
 			vpn := m.vpn(line)
 			pte := m.translate(gpu, vpn)
-			switch a.Op {
+			switch s.Op {
 			case trace.OpLoad:
 				if pte.Owner == gpu {
 					prof.LocalBytes += lineBytes
@@ -235,7 +237,7 @@ func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 					}
 					continue
 				}
-				if a.Scope == trace.ScopeSys {
+				if s.Scope == trace.ScopeSys {
 					// Sys-scoped store to a GPS page: collapse to a single copy
 					// (Section 5.3).
 					if f := m.flags.At(vpn); !f.collapsing {
@@ -251,7 +253,7 @@ func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 					// Local replica updated on the store path (W3 in Figure 7).
 					prof.LocalBytes += lineBytes
 				}
-				if a.Op == trace.OpAtomic {
+				if s.Op == trace.OpAtomic {
 					wq.PushAtomic(memsys.VAddr(line))
 				} else {
 					wq.PushStore(memsys.VAddr(line))

@@ -59,37 +59,24 @@ func newMemcpyAsync(meta trace.Meta, cfg Config) *memcpyModel {
 
 func (m *memcpyModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
-	lastSlot, lastVPN := ^uint64(0), ^uint64(0)
-	var region *trace.Region
-	var p *memcpyPage
-	for i := range b.Accs {
-		a := &b.Accs[i]
-		if a.Op == trace.OpFence {
+	for _, s := range b.Spans {
+		prof.LocalBytes += uint64(s.N) * lineBytes // every structure is mirrored locally
+		if m.elideTransfers || !s.IsWrite() {
+			// Infinite bandwidth never broadcasts, so it tracks no writes.
 			continue
 		}
-		lines := b.LinesOf(i)
-		prof.LocalBytes += uint64(len(lines)) * lineBytes // every structure is mirrored locally
-		if !a.IsWrite() {
-			continue
-		}
-		for _, line := range lines {
-			if slot := line >> memsys.RegionSlotShift; slot != lastSlot {
-				lastSlot = slot
-				region = m.regions.SlotRegion(slot)
-			}
-			if region == nil || region.Kind != trace.RegionShared ||
-				line < region.Base || line-region.Base >= region.Size {
-				continue
-			}
-			if vpn := line >> m.vpnShift; vpn != lastVPN {
-				lastVPN = vpn
-				p = m.pages.At(vpn)
+		for line, n := s.Line, s.N; n > 0; {
+			k, region := m.piece(line, n)
+			if region != nil {
+				vpn := line >> m.vpnShift
+				p := m.pages.At(vpn)
 				if p.stamp != m.epoch {
 					p.stamp = m.epoch
 					m.dirty = append(m.dirty, vpn)
 				}
+				p.writer = uint8(gpu + 1)
 			}
-			p.writer = uint8(gpu + 1)
+			line, n = line+uint64(k)*lineBytes, n-k
 		}
 	}
 }

@@ -162,6 +162,16 @@ func New(kind Kind, prog trace.Program, cfg Config) (engine.Model, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
+	// Models index regions by address (engine.NewRegionTable sizes a slice
+	// by the highest region's 8 GB slot), so a decoded trace must not place
+	// one beyond the virtual address space. Validate rejected wrapping ends.
+	if va := cfg.Machine.GPU.VirtualAddrBits; va < 64 {
+		for _, r := range meta.Regions {
+			if r.Base+r.Size > 1<<va {
+				return nil, fmt.Errorf("paradigm: region %q ends at %#x, beyond the %d-bit virtual address space", r.Name, r.Base+r.Size, va)
+			}
+		}
+	}
 	switch kind {
 	case KindUM:
 		return newUM(meta, cfg), nil
@@ -221,14 +231,14 @@ func (b *base) BeginPhase(index int, profiles []engine.Profile) {
 
 func (b *base) vpn(line uint64) uint64 { return line >> b.vpnShift }
 
-// sharedRegion returns the shared region containing line, or nil for
-// private or unknown addresses.
-func (b *base) sharedRegion(line uint64) *trace.Region {
-	r := b.regions.Lookup(line)
-	if r == nil || r.Kind != trace.RegionShared {
-		return nil
-	}
-	return r
+// piece splits the n lines starting at line at the model's page size: it
+// returns the length k of the longest prefix that stays inside one page and
+// on one side of the end of the shared region containing line, and that
+// region (nil outside every shared region). Every line of the piece takes
+// the same decision, so the span models decide once per piece and charge
+// k lines.
+func (b *base) piece(line uint64, n uint32) (k uint32, shared *trace.Region) {
+	return b.regions.SharedPiece(line, n, b.vpnShift)
 }
 
 // privateOwner returns the owning GPU for a private region access.

@@ -1,6 +1,7 @@
 package paradigm
 
 import (
+	"runtime"
 	"testing"
 
 	"gps/internal/engine"
@@ -284,5 +285,35 @@ func TestNewRejectsUnknownKind(t *testing.T) {
 	prog := spec.Build(workload.Config{NumGPUs: 2, Iterations: 1})
 	if _, err := New(Kind(99), prog, DefaultConfig()); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// TestNewBoundsRegionAddresses: a decoded trace file controls region bases,
+// and the models index regions by 8 GB slot in a slice sized by the highest
+// one, so New must reject a region beyond the virtual address space before
+// allocating anything sized by it (a base of 1<<56 cost 64 MB, 1<<62 cost
+// 4 GiB). A region ending exactly at the 49-bit limit is accepted.
+func TestNewBoundsRegionAddresses(t *testing.T) {
+	meta := func(base uint64) *trace.Recorded {
+		return &trace.Recorded{M: trace.Meta{Name: "far", NumGPUs: 2, Regions: []trace.Region{
+			{Name: "far", Kind: trace.RegionShared, Base: base, Size: 1 << 20},
+		}}}
+	}
+	for _, base := range []uint64{1 << 56, 1 << 62} {
+		for _, kind := range Kinds() {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := New(kind, meta(base), DefaultConfig())
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s: region at %#x accepted", kind, base)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("%s: rejecting a region at %#x allocated %d bytes", kind, base, grew)
+			}
+		}
+	}
+	if _, err := New(KindUM, meta(1<<49-1<<33), DefaultConfig()); err != nil {
+		t.Fatalf("region in the top 8 GB slot rejected: %v", err)
 	}
 }

@@ -27,38 +27,26 @@ func newRDL(meta trace.Meta, cfg Config) *rdlModel {
 
 func (m *rdlModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
-	lastSlot, lastVPN := ^uint64(0), ^uint64(0)
-	var region *trace.Region
-	var p *uint8
-	for i := range b.Accs {
-		a := &b.Accs[i]
-		if a.Op == trace.OpFence {
-			continue
-		}
-		for _, line := range b.LinesOf(i) {
-			if slot := line >> memsys.RegionSlotShift; slot != lastSlot {
-				lastSlot = slot
-				region = m.regions.SlotRegion(slot)
-			}
-			if region == nil || region.Kind != trace.RegionShared ||
-				line < region.Base || line-region.Base >= region.Size {
-				prof.LocalBytes += lineBytes
+	for _, s := range b.Spans {
+		for line, n := s.Line, s.N; n > 0; {
+			k, region := m.piece(line, n)
+			vpn, bytes := line>>m.vpnShift, uint64(k)*lineBytes
+			line, n = line+bytes, n-k
+			if region == nil {
+				prof.LocalBytes += bytes
 				continue
 			}
-			if vpn := line >> m.vpnShift; vpn != lastVPN {
-				lastVPN = vpn
-				p = m.lastWriter.At(vpn)
-			}
-			switch a.Op {
+			p := m.lastWriter.At(vpn)
+			switch s.Op {
 			case trace.OpLoad:
 				if lw := *p; lw == 0 || int(lw) == gpu+1 {
-					prof.LocalBytes += lineBytes
+					prof.LocalBytes += bytes
 				} else {
-					prof.RemoteRead[int(lw)-1] += lineBytes
-					prof.RemoteReadLines++
+					prof.RemoteRead[int(lw)-1] += bytes
+					prof.RemoteReadLines += uint64(k)
 				}
 			case trace.OpStore, trace.OpAtomic:
-				prof.LocalBytes += lineBytes
+				prof.LocalBytes += bytes
 				*p = uint8(gpu + 1)
 			}
 		}

@@ -56,46 +56,27 @@ func (m *hintsModel) homeOf(p *hintsPage, toucher int) int {
 
 func (m *hintsModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
-	lastSlot, lastVPN := ^uint64(0), ^uint64(0)
-	var region *trace.Region
-	var p *hintsPage
-	for i := range b.Accs {
-		a := &b.Accs[i]
-		if a.Op == trace.OpFence {
-			continue
-		}
-		for _, line := range b.LinesOf(i) {
-			if slot := line >> memsys.RegionSlotShift; slot != lastSlot {
-				lastSlot = slot
-				region = m.regions.SlotRegion(slot)
-			}
-			if region == nil || region.Kind != trace.RegionShared ||
-				line < region.Base || line-region.Base >= region.Size {
-				prof.LocalBytes += lineBytes
+	for _, s := range b.Spans {
+		for line, n := s.Line, s.N; n > 0; {
+			k, region := m.piece(line, n)
+			first, bytes := line, uint64(k)*lineBytes
+			line, n = line+bytes, n-k
+			if region == nil {
+				prof.LocalBytes += bytes
 				continue
 			}
-			if vpn := line >> m.vpnShift; vpn != lastVPN {
-				lastVPN = vpn
-				p = m.pages.At(vpn)
-			}
+			p := m.pages.At(first >> m.vpnShift)
 			h := m.homeOf(p, gpu)
-			switch a.Op {
+			switch s.Op {
 			case trace.OpLoad:
-				switch {
-				case h == gpu:
-					prof.LocalBytes += lineBytes
-				case p.dup&(1<<gpu) != 0:
-					// Already prefetched this page.
-					prof.LocalBytes += lineBytes
-				default:
+				if h != gpu && p.dup&(1<<gpu) == 0 {
 					// Prefetch hint: duplicate the surrounding block before use.
 					// The coarse copy over-fetches when only part of the block
-					// is consumed. Prefetching may grow the page slab, so the
-					// cached entry pointer must be re-fetched afterwards.
-					m.prefetchBlock(gpu, line, region)
-					lastVPN = ^uint64(0)
-					prof.LocalBytes += lineBytes
+					// is consumed. The block always holds this page, so the rest
+					// of the piece reads the fresh duplicate.
+					m.prefetchBlock(gpu, first, region)
 				}
+				prof.LocalBytes += bytes
 			case trace.OpStore, trace.OpAtomic:
 				if p.dup != 0 {
 					// Writing a read-duplicated page collapses it back to the
@@ -105,11 +86,11 @@ func (m *hintsModel) Access(gpu int, b *engine.Batch) {
 					prof.Shootdowns++
 				}
 				if h == gpu {
-					prof.LocalBytes += lineBytes
+					prof.LocalBytes += bytes
 				} else {
 					// accessed-by: remote store to the preferred location; does
 					// not stall the writer.
-					prof.Push[h] += lineBytes
+					prof.Push[h] += bytes
 				}
 			}
 		}

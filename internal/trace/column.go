@@ -360,32 +360,79 @@ func readVarintSlow(data []byte, off int) (int64, int, error) {
 	return v, off + n, nil
 }
 
-// BlockDecoder decodes blocks into an internal reusable buffer, so steady-
-// state replay performs zero allocations. Each concurrent reader (a kernel
-// slot's replay cursor, a sharing scan) needs its own decoder; the decoded
-// slice is valid until the next Decode call on the same decoder.
-type BlockDecoder struct {
-	buf     []Access
-	scratch []byte
-	runs    []colRun // the parsed runs of all columns of the current block
+// Run is n consecutive records of one block that differ only in seed and
+// address: record i equals A except Seed = A.Seed + i*SeedStep and Addr =
+// A.Addr + i*AddrStep (both wrapping). A run never crosses a block.
+type Run struct {
+	A        Access
+	N        uint32
+	SeedStep uint32
+	AddrStep uint64
 }
 
-// Decode returns the decoded records of block i of c. The returned slice
-// aliases the decoder's buffer.
-func (d *BlockDecoder) Decode(c *ColumnAccesses, i int) ([]Access, error) {
+// At returns record i of the run.
+func (r *Run) At(i uint32) Access {
+	a := r.A
+	a.Seed += i * r.SeedStep
+	a.Addr += uint64(i) * r.AddrStep
+	return a
+}
+
+// BlockDecoder decodes blocks into internal reusable buffers, so steady-
+// state replay performs zero allocations. Each concurrent reader (a kernel
+// slot's replay cursor, a sharing scan) needs its own decoder; the decoded
+// slice is valid until the next decode call on the same decoder.
+type BlockDecoder struct {
+	buf     []Access
+	out     []Run
+	scratch []byte
+	cols    []colRun // the parsed runs of all columns of the current block
+}
+
+// DecodeRuns returns block i of c as runs, in record order. The returned
+// slice aliases the decoder's buffer.
+func (d *BlockDecoder) DecodeRuns(c *ColumnAccesses, i int) ([]Run, error) {
 	data, scratch, err := c.block(i, d.scratch)
 	d.scratch = scratch
 	if err != nil {
 		return nil, err
 	}
-	out, err := d.decodeBlock(data)
+	runs, n, err := d.decodeRuns(data)
 	if err != nil {
 		return nil, fmt.Errorf("trace: block %d: %w", i, err)
 	}
-	if len(out) != c.BlockLen(i) {
-		return nil, fmt.Errorf("trace: block %d decoded %d records, index says %d", i, len(out), c.BlockLen(i))
+	if n != c.BlockLen(i) {
+		return nil, fmt.Errorf("trace: block %d decoded %d records, index says %d", i, n, c.BlockLen(i))
 	}
-	return out, nil
+	return runs, nil
+}
+
+// Decode returns the decoded records of block i of c. The returned slice
+// aliases the decoder's buffer.
+func (d *BlockDecoder) Decode(c *ColumnAccesses, i int) ([]Access, error) {
+	runs, err := d.DecodeRuns(c, i)
+	if err != nil {
+		return nil, err
+	}
+	return d.fill(runs), nil
+}
+
+// fill expands runs into the decoder's record buffer.
+func (d *BlockDecoder) fill(runs []Run) []Access {
+	if d.buf == nil {
+		d.buf = make([]Access, BlockAccesses)
+	}
+	i := 0
+	for r := range runs {
+		run := &runs[r]
+		a := run.A
+		for j := i + int(run.N); i < j; i++ {
+			d.buf[i] = a
+			a.Seed += run.SeedStep
+			a.Addr += run.AddrStep
+		}
+	}
+	return d.buf[:i]
 }
 
 // runCursor walks one column's parsed runs; runs[0] is the current run.
@@ -402,27 +449,30 @@ func (c *runCursor) skip(k uint32) {
 	}
 }
 
-// decodeBlock decodes one encoded block into the decoder's buffer and
-// returns the filled prefix. It parses each column's runs once, rejecting
-// truncation, empty or overflowing runs, out-of-range values and trailing
-// bytes. It then fills the records in one pass over segments on which the
-// six shape columns are constant. Access.Validate reads only those columns,
-// so it runs once per segment, and an error names the segment's first
-// record, which is the block's first invalid record. decodeBlock never
-// panics on corrupt input.
-func (d *BlockDecoder) decodeBlock(data []byte) ([]Access, error) {
+// decodeRuns decodes one encoded block into the decoder's run buffer and
+// returns the runs and their record count. It parses each column's runs
+// once, rejecting truncation, empty or overflowing runs, out-of-range values
+// and trailing bytes. It then walks the segments on which the six shape
+// columns are constant. Access.Validate reads only those columns, so it
+// runs once per segment, and an error names the segment's first record,
+// which is the block's first invalid record. Within a segment every
+// sub-run on which both deltas are fixed becomes a Run; a one-record run
+// absorbs the sub-run after it, so the run the encoder's AppendRun wrote as
+// a first record plus a fixed-step tail decodes as one Run. decodeRuns
+// never panics on corrupt input.
+func (d *BlockDecoder) decodeRuns(data []byte) ([]Run, int, error) {
 	cnt, off, err := readUvarint(data, 0)
 	if err != nil {
-		return nil, fmt.Errorf("trace: block count: %w", err)
+		return nil, 0, fmt.Errorf("trace: block count: %w", err)
 	}
 	if cnt == 0 || cnt > BlockAccesses {
-		return nil, fmt.Errorf("trace: block count %d out of range 1..%d", cnt, BlockAccesses)
+		return nil, 0, fmt.Errorf("trace: block count %d out of range 1..%d", cnt, BlockAccesses)
 	}
 	n := int(cnt)
-	runs := d.runs[:0]
-	var starts [numCols + 1]int // column c's runs are runs[starts[c]:starts[c+1]]
+	cols := d.cols[:0]
+	var starts [numCols + 1]int // column c's runs are cols[starts[c]:starts[c+1]]
 	for c := 0; c < numCols; c++ {
-		starts[c] = len(runs)
+		starts[c] = len(cols)
 		for i := 0; i < n; {
 			var v, run uint64
 			if c < colSeed {
@@ -433,39 +483,41 @@ func (d *BlockDecoder) decodeBlock(data []byte) ([]Access, error) {
 				v = uint64(sv)
 			}
 			if err != nil {
-				return nil, fmt.Errorf("trace: %s column: value: %w", colNames[c], err)
+				return nil, 0, fmt.Errorf("trace: %s column: value: %w", colNames[c], err)
 			}
 			if run, off, err = readUvarint(data, off); err != nil {
-				return nil, fmt.Errorf("trace: %s column: run: %w", colNames[c], err)
+				return nil, 0, fmt.Errorf("trace: %s column: run: %w", colNames[c], err)
 			}
 			if run == 0 || run > uint64(n-i) {
-				return nil, fmt.Errorf("trace: %s column: run %d overflows %d remaining", colNames[c], run, n-i)
+				return nil, 0, fmt.Errorf("trace: %s column: run %d overflows %d remaining", colNames[c], run, n-i)
 			}
 			if c < colStride && v > 255 {
-				return nil, fmt.Errorf("trace: %s column: value %d exceeds a byte", colNames[c], v)
+				return nil, 0, fmt.Errorf("trace: %s column: value %d exceeds a byte", colNames[c], v)
 			}
 			if c == colStride && v > 1<<32-1 {
-				return nil, fmt.Errorf("trace: stride %d exceeds 32 bits", v)
+				return nil, 0, fmt.Errorf("trace: stride %d exceeds 32 bits", v)
 			}
-			runs = append(runs, colRun{v, uint32(run)})
+			cols = append(cols, colRun{v, uint32(run)})
 			i += int(run)
 		}
 	}
-	starts[numCols] = len(runs)
-	d.runs = runs
+	starts[numCols] = len(cols)
+	d.cols = cols
 	if off != len(data) {
-		return nil, fmt.Errorf("trace: %d trailing bytes after block", len(data)-off)
+		return nil, 0, fmt.Errorf("trace: %d trailing bytes after block", len(data)-off)
 	}
 
 	var cur [numCols]runCursor
 	for c := range cur {
-		cur[c].runs = runs[starts[c]:starts[c+1]]
+		cur[c].runs = cols[starts[c]:starts[c+1]]
 		cur[c].left = cur[c].runs[0].n
 	}
-	if d.buf == nil {
-		d.buf = make([]Access, BlockAccesses)
+	// Every run boundary is a boundary of some column's run, so the column
+	// runs bound the block's run count.
+	if cap(d.out) < len(cols) {
+		d.out = make([]Run, 0, len(cols))
 	}
-	dst := d.buf[:n]
+	out := d.out[:0]
 	var seed uint32
 	var addr uint64
 	for i := 0; i < n; {
@@ -482,26 +534,31 @@ func (d *BlockDecoder) decodeBlock(data []byte) ([]Access, error) {
 			Stride:    uint32(cur[colStride].runs[0].v),
 		}
 		if err := a.Validate(); err != nil {
-			return nil, fmt.Errorf("trace: block record %d: %w", i, err)
+			return nil, 0, fmt.Errorf("trace: block record %d: %w", i, err)
 		}
 		for c := 0; c < numShapeCols; c++ {
 			cur[c].skip(seg)
 		}
-		// Within the segment, fill sub-runs on which both deltas are fixed.
+		segStart := len(out)
 		for end := i + int(seg); i < end; {
 			k := min(uint32(end-i), cur[colSeed].left, cur[colAddr].left)
 			sd, ad := uint32(cur[colSeed].runs[0].v), cur[colAddr].runs[0].v
-			for j := i + int(k); i < j; i++ {
-				seed += sd
-				addr += ad
-				a.Seed, a.Addr = seed, addr
-				dst[i] = a
+			if last := len(out) - 1; last >= segStart && out[last].N == 1 {
+				out[last].N += k
+				out[last].SeedStep, out[last].AddrStep = sd, ad
+			} else {
+				a.Seed, a.Addr = seed+sd, addr+ad
+				out = append(out, Run{A: a, N: k, SeedStep: sd, AddrStep: ad})
 			}
+			seed += k * sd
+			addr += uint64(k) * ad
+			i += int(k)
 			cur[colSeed].skip(k)
 			cur[colAddr].skip(k)
 		}
 	}
-	return dst, nil
+	d.out = out
+	return out, n, nil
 }
 
 // columnJSON is the JSON shape of a ColumnAccesses: record count plus the
@@ -543,15 +600,15 @@ func (c *ColumnAccesses) UnmarshalJSON(data []byte) error {
 	var compressed uint64
 	var dec BlockDecoder
 	for i, b := range cj.Blocks {
-		out, err := dec.decodeBlock(b)
+		_, n, err := dec.decodeRuns(b)
 		if err != nil {
 			return fmt.Errorf("trace: column block %d: %w", i, err)
 		}
-		total += len(out)
+		total += n
 		sizes = append(sizes, int32(len(b)))
 		compressed += uint64(len(b))
-		if i < len(cj.Blocks)-1 && len(out) != BlockAccesses {
-			return fmt.Errorf("trace: column block %d short (%d records) before the last", i, len(out))
+		if i < len(cj.Blocks)-1 && n != BlockAccesses {
+			return fmt.Errorf("trace: column block %d short (%d records) before the last", i, n)
 		}
 	}
 	if total != cj.N {

@@ -214,7 +214,11 @@ func encodeBlock(accs []Access) []byte { return EncodeColumns(accs).blocks[0] }
 // decodeOne decodes one block with a fresh decoder.
 func decodeOne(data []byte) ([]Access, error) {
 	var d BlockDecoder
-	return d.decodeBlock(data)
+	runs, _, err := d.decodeRuns(data)
+	if err != nil {
+		return nil, err
+	}
+	return d.fill(runs), nil
 }
 
 // wire builds raw block bytes from uvarints; small seed and addr deltas are
@@ -351,6 +355,35 @@ func TestDecodeBlockNamesFirstInvalidRecord(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("short-segment block round trip diverged")
+	}
+}
+
+// TestDecodeRunsOnePerAppendRun: the encoder writes an AppendRun as a
+// first record plus a fixed-step tail, and the decoder hands it back as one
+// Run per block it touches, so replay expands a contiguous sweep in O(1).
+func TestDecodeRunsOnePerAppendRun(t *testing.T) {
+	ld := Access{Op: OpLoad, Pattern: PatContiguous, Threads: 32, ElemBytes: 4, Addr: 1 << 33}
+	st := ld
+	st.Op, st.Addr = OpStore, 2<<33
+	var e ColumnEncoder
+	e.AppendRun(ld, 1000, 128)
+	e.AppendRun(st, 3000, 128)
+	e.AppendRun(ld, 200, 128) // 96 records end block 0, 104 start block 1
+	c := e.Finish()
+	tail := ld
+	tail.Addr += 96 * 128
+	for i, want := range [][]Run{
+		{{A: ld, N: 1000, AddrStep: 128}, {A: st, N: 3000, AddrStep: 128}, {A: ld, N: 96, AddrStep: 128}},
+		{{A: tail, N: 104, AddrStep: 128}},
+	} {
+		var d BlockDecoder
+		got, err := d.DecodeRuns(c, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("block %d runs %+v, want %+v", i, got, want)
+		}
 	}
 }
 

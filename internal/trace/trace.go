@@ -324,6 +324,9 @@ func (m *Meta) Validate() error {
 		if r.Size == 0 {
 			return fmt.Errorf("trace: region %q is empty", r.Name)
 		}
+		if r.Base+r.Size < r.Base {
+			return fmt.Errorf("trace: region %q wraps the address space", r.Name)
+		}
 		for j := 0; j < i; j++ {
 			o := m.Regions[j]
 			if r.Base < o.Base+o.Size && o.Base < r.Base+r.Size {

@@ -129,6 +129,15 @@ func TestMetaValidate(t *testing.T) {
 	if err := zero.Validate(); err == nil {
 		t.Fatal("zero GPUs accepted")
 	}
+	// A region whose end wraps past 2^64 covers [0, 50) too; the overlap
+	// test alone, computing ends modulo 2^64, sees neither overlap.
+	wrap := Meta{NumGPUs: 1, Regions: []Region{
+		{Name: "x", Base: 0, Size: 100},
+		{Name: "y", Base: 1<<64 - 50, Size: 100},
+	}}
+	if err := wrap.Validate(); err == nil {
+		t.Fatal("wrapping region accepted")
+	}
 }
 
 func TestSummarize(t *testing.T) {
