@@ -39,9 +39,12 @@ bench-smoke:
 	$(GO) run ./cmd/gpsim -app jacobi -paradigm GPS -gpus 4 -interconnect pcie4 -iters 2
 
 ## bench-micro: compile and run every microbenchmark exactly once, so the
-## hot-path benchmarks cannot rot without failing the gate.
+## hot-path benchmarks cannot rot without failing the gate. The root
+## package's public-API run covers the KernelBuilder path; its figure
+## benchmarks are left to the full suite.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace/ ./internal/engine/ ./internal/memsys/ ./internal/workload/
+	$(GO) test -run '^$$' -bench PublicAPIRun -benchtime 1x .
 
 ## bench-record: record the full suite's wall clock and headline metrics
 ## into BENCH_<n>.json at the repo root (see scripts/bench_record.sh).

@@ -82,35 +82,6 @@ func BenchmarkEngineRunFused(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRunStorage pits the two trace storage forms against each
-// other on the same materialized program (mirroring the runner's trace
-// cache): flat []Access replay versus columnar block decode. The columnar
-// variant is what production replay now runs; the flat variant is the old
-// layout kept for comparison.
-func BenchmarkEngineRunStorage(b *testing.B) {
-	spec, err := workload.ByName("jacobi")
-	if err != nil {
-		b.Fatal(err)
-	}
-	columnar := trace.Collect(spec.Build(benchConfig))
-	flat := trace.Flatten(columnar)
-	for _, v := range []struct {
-		name string
-		prog trace.Program
-	}{{"columnar", columnar}, {"flat", flat}} {
-		b.Run("jacobi/gps/"+v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := paradigm.New(paradigm.KindGPS, v.prog, paradigm.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				engine.Run(v.prog, m)
-			}
-		})
-	}
-}
-
 func BenchmarkScanSharing(b *testing.B) {
 	spec, err := workload.ByName("jacobi")
 	if err != nil {

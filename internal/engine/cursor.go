@@ -11,13 +11,11 @@ import (
 const _ = uint(-(trace.BlockAccesses % chunk))
 
 // blockCursor serves sequential windows of one kernel's instruction stream
-// as runs, regardless of storage form: columnar kernels decode one block at
-// a time into runs through the cursor's private decoder, and flat kernels
-// enter as one-record runs, so a full []Access is never materialized during
+// as runs: it decodes one column block at a time into runs through the
+// cursor's private decoder, so a full []Access is never materialized during
 // replay. Each kernel slot in a replay owns its own cursor, because the
 // round-robin revisits kernels while their neighbors' windows are live.
 type blockCursor struct {
-	flat     []trace.Access
 	col      *trace.ColumnAccesses
 	dec      trace.BlockDecoder
 	runs     []trace.Run // decoded runs of block blockIdx
@@ -30,7 +28,6 @@ type blockCursor struct {
 
 // reset points the cursor at k's stream, keeping the decode buffers.
 func (c *blockCursor) reset(k *trace.Kernel) {
-	c.flat = k.Accesses
 	c.col = k.Col
 	c.runs = nil
 	c.blockIdx = -1
@@ -46,13 +43,6 @@ func (c *blockCursor) reset(k *trace.Kernel) {
 // fences turn the panic into a typed cell error.
 func (c *blockCursor) window(start, end int) []trace.Run {
 	out := c.out[:0]
-	if c.col == nil {
-		for _, a := range c.flat[start:end] {
-			out = append(out, trace.Run{A: a, N: 1})
-		}
-		c.out = out
-		return out
-	}
 	if bi := start / trace.BlockAccesses; bi != c.blockIdx {
 		runs, err := c.dec.DecodeRuns(c.col, bi)
 		if err != nil {

@@ -56,14 +56,14 @@ func storeLines(gpu int, base uint64, from, to int) []recordedLine {
 
 func twoGPUProgram() *trace.Recorded {
 	mk := func(gpu int, n int, base uint64) trace.Kernel {
-		k := trace.Kernel{GPU: gpu, Name: "k", ComputeOps: 100, LocalStreamBytes: 4096}
+		var accs []trace.Access
 		for i := 0; i < n; i++ {
-			k.Accesses = append(k.Accesses, trace.Access{
+			accs = append(accs, trace.Access{
 				Op: trace.OpStore, Pattern: trace.PatContiguous,
 				Threads: 32, ElemBytes: 4, Addr: base + uint64(i)*128,
 			})
 		}
-		return k
+		return trace.Kernel{GPU: gpu, Name: "k", ComputeOps: 100, LocalStreamBytes: 4096, Col: trace.EncodeColumns(accs)}
 	}
 	return &trace.Recorded{
 		M: trace.Meta{Name: "t", NumGPUs: 2, Regions: []trace.Region{
@@ -184,21 +184,21 @@ func TestScanSharing(t *testing.T) {
 		}},
 		Ph: []trace.Phase{
 			{Index: 0, Kernels: []trace.Kernel{
-				{GPU: 0, Name: "w", Accesses: []trace.Access{
+				{GPU: 0, Name: "w", Col: trace.EncodeColumns([]trace.Access{
 					{Op: trace.OpStore, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: 1 << 33},
 					{Op: trace.OpStore, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: 1 << 33},
 					{Op: trace.OpStore, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: 2 << 33}, // private: ignored
-				}},
-				{GPU: 1, Name: "rw", Accesses: []trace.Access{
+				})},
+				{GPU: 1, Name: "rw", Col: trace.EncodeColumns([]trace.Access{
 					{Op: trace.OpLoad, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: 1 << 33},
 					{Op: trace.OpStore, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: 1 << 33},
-				}},
+				})},
 			}},
 			// Phase beyond the scan limit: must be ignored.
 			{Index: 1, Kernels: []trace.Kernel{
-				{GPU: 1, Name: "late", Accesses: []trace.Access{
+				{GPU: 1, Name: "late", Col: trace.EncodeColumns([]trace.Access{
 					{Op: trace.OpStore, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: 1<<33 + 1<<19},
-				}},
+				})},
 			}},
 		},
 	}
@@ -236,9 +236,9 @@ func TestDominantWriterEmpty(t *testing.T) {
 // Run's round-robin loop forever, because `remaining` counted every kernel
 // but only kernels that reach their end of stream ever decremented it.
 func TestRunEmptyKernelTerminates(t *testing.T) {
-	work := trace.Kernel{GPU: 0, Name: "work", Accesses: []trace.Access{
+	work := trace.Kernel{GPU: 0, Name: "work", Col: trace.EncodeColumns([]trace.Access{
 		{Op: trace.OpStore, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: 1 << 33},
-	}}
+	})}
 	prog := &trace.Recorded{
 		M: trace.Meta{Name: "empty", NumGPUs: 2, Regions: []trace.Region{
 			{Name: "r", Kind: trace.RegionShared, Base: 1 << 33, Size: 1 << 20},

@@ -308,21 +308,15 @@ func (r *Runner) ResetCaches() {
 const accessBytes = 24
 
 // traceCost approximates the resident heap bytes of a materialized trace.
-// Columnar kernels count their compressed block bytes — or just their block
-// index once spilled — so the cache budget admits far more traces than the
-// flat layout would.
+// Kernels count their compressed block bytes — or just their block index
+// once spilled — so the cache budget admits far more traces than the flat
+// layout would.
 func traceCost(rec *trace.Recorded) uint64 {
 	var cost uint64 = 4 << 10
 	for i := range rec.Ph {
 		cost += 1 << 10
 		for k := range rec.Ph[i].Kernels {
-			kn := &rec.Ph[i].Kernels[k]
-			cost += 256
-			if kn.Col != nil {
-				cost += kn.Col.ResidentBytes()
-			} else {
-				cost += uint64(len(kn.Accesses)) * accessBytes
-			}
+			cost += 256 + rec.Ph[i].Kernels[k].Col.ResidentBytes()
 		}
 	}
 	return cost

@@ -29,11 +29,11 @@ func handTrace() *trace.Recorded {
 			Index: 0,
 			Kernels: []trace.Kernel{{
 				GPU: 0, Name: "producer", ComputeOps: 1000,
-				Accesses: []trace.Access{
+				Col: trace.EncodeColumns([]trace.Access{
 					acc(trace.OpStore, base),     // queued toward subscriber GPU 1
 					acc(trace.OpLoad, base),      // non-subscriber load: forwards from the queue
 					acc(trace.OpLoad, base+4096), // different line, not queued: remote
-				},
+				}),
 			}},
 		}},
 	}

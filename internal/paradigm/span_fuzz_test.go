@@ -104,9 +104,9 @@ func mix32(x uint32) uint32 {
 // one kernel per GPU, shared regions whose sizes are not page multiples, a
 // private region and an unmapped slot. Kernels mix ops, scopes, fences and
 // all three patterns; contiguous runs start near page and region ends so
-// they cross them. Columnar kernels are built with AppendRun, as the
-// workload generators do; with flat set, kernels stay flat.
-func splitProgram(seed int64, gpus int, flat bool) *trace.Recorded {
+// they cross them. Kernels are built with AppendRun, as the workload
+// generators do.
+func splitProgram(seed int64, gpus int) *trace.Recorded {
 	rng := rand.New(rand.NewSource(seed))
 	regions := []trace.Region{
 		{Name: "a", Kind: trace.RegionShared, Base: 1 << 33, Size: uint64(1<<20 + rng.Intn(3<<20))},
@@ -166,11 +166,7 @@ func splitProgram(seed int64, gpus int, flat bool) *trace.Recorded {
 				}
 				enc.AppendRun(a, n, step)
 			}
-			k := trace.Kernel{GPU: g, Name: fmt.Sprintf("k%d", g), Col: enc.Finish()}
-			if flat {
-				k.Accesses, k.Col = k.FlatAccesses(), nil
-			}
-			ph.Kernels = append(ph.Kernels, k)
+			ph.Kernels = append(ph.Kernels, trace.Kernel{GPU: g, Name: fmt.Sprintf("k%d", g), Col: enc.Finish()})
 		}
 		rec.Ph = append(rec.Ph, ph)
 	}
@@ -178,7 +174,8 @@ func splitProgram(seed int64, gpus int, flat bool) *trace.Recorded {
 }
 
 // FuzzSpanSplit checks the span replay against the line-at-a-time one on
-// generated traces. The engine's line sequence must equal the reference
+// generated traces, replayed from resident blocks or, with shape bit 4 set,
+// from spilled ones. The engine's line sequence must equal the reference
 // per-lane expansion of every record, and every paradigm at 4 KB, 64 KB and
 // 2 MB pages must produce the same Result from the engine's batches as from
 // the same batches re-split into one-line spans.
@@ -187,19 +184,35 @@ func FuzzSpanSplit(f *testing.F) {
 		f.Add(seed, uint8(seed))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
-		prog := splitProgram(seed, 1+int(shape%4), shape&4 != 0)
+		prog := splitProgram(seed, 1+int(shape%4))
 
 		var want []spanLine
+		var dec trace.BlockDecoder
 		for _, ph := range prog.Ph {
 			for _, k := range ph.Kernels {
-				for _, a := range k.FlatAccesses() {
-					if a.Op == trace.OpFence {
-						want = append(want, spanLine{ph.Index, k.GPU, a.Op, a.Scope, 0})
+				if err := k.EachBlock(&dec, func(accs []trace.Access) bool {
+					for _, a := range accs {
+						if a.Op == trace.OpFence {
+							want = append(want, spanLine{ph.Index, k.GPU, a.Op, a.Scope, 0})
+						}
+						for _, l := range laneExpansion(a) {
+							want = append(want, spanLine{ph.Index, k.GPU, a.Op, a.Scope, l})
+						}
 					}
-					for _, l := range laneExpansion(a) {
-						want = append(want, spanLine{ph.Index, k.GPU, a.Op, a.Scope, l})
-					}
+					return true
+				}); err != nil {
+					t.Fatal(err)
 				}
+			}
+		}
+		if shape&4 != 0 {
+			sf, err := trace.NewSpillFile(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sf.Close()
+			if _, err := prog.Spill(sf); err != nil {
+				t.Fatal(err)
 			}
 		}
 

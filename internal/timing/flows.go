@@ -111,14 +111,16 @@ func assignRates(active []*flowState, fab *interconnect.Fabric) {
 	}
 
 	for unfrozen > 0 {
-		// Most constrained link share.
+		// Most constrained link share; ties go to the lowest link ID, so the
+		// freeze order, and with it the float rounding, does not depend on
+		// map iteration order.
 		bottleneck := interconnect.LinkID(-1)
 		minShare := math.Inf(1)
 		for l, n := range linkFlows {
 			if n == 0 {
 				continue
 			}
-			if share := linkRem[l] / float64(n); share < minShare {
+			if share := linkRem[l] / float64(n); share < minShare || share == minShare && l < bottleneck {
 				minShare, bottleneck = share, l
 			}
 		}

@@ -16,13 +16,16 @@ import (
 //	phase count uvarint
 //	per phase: index uvarint, label string, kernel count uvarint
 //	per kernel: gpu uvarint, name string, computeOps uvarint,
-//	            access count uvarint, packed access records
-//	per access: op|scope|pattern packed byte order, threads, elem,
-//	            stride uvarint, seed uvarint, addr uvarint (delta-coded)
+//	            localStreamBytes uvarint, access count uvarint,
+//	            packed access records
+//	per access: op, scope, pattern, threads, elem (one byte each),
+//	            stride uvarint, seed uvarint, addr varint (delta-coded)
 //
 // Strings are uvarint length + bytes. Access addresses are delta-encoded
 // against the previous access in the kernel (zigzag), which compresses the
-// mostly-sequential address streams stencil workloads emit.
+// mostly-sequential address streams stencil workloads emit. The format is a
+// flat record stream; Encode decodes each kernel's column blocks to write
+// it, and Decode re-encodes the records into column blocks.
 
 const (
 	magic   = "GPSTRACE"
@@ -90,11 +93,10 @@ func Decode(r io.Reader) (*Recorded, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Phases are appended as they decode, so a short input that declares
+	// many phases costs only what it holds.
 	if numPhases > 1<<24 {
 		return nil, fmt.Errorf("trace: implausible phase count %d", numPhases)
-	}
-	if numPhases > 0 {
-		rec.Ph = make([]Phase, 0, numPhases)
 	}
 	for pi := uint64(0); pi < numPhases; pi++ {
 		ph, err := decodePhase(br)
@@ -104,6 +106,120 @@ func Decode(r io.Reader) (*Recorded, error) {
 		rec.Ph = append(rec.Ph, *ph)
 	}
 	return rec, nil
+}
+
+// encodePhase writes one phase in the phase layout above, decoding each
+// kernel's column blocks into the flat record stream.
+func encodePhase(bw *bufio.Writer, ph *Phase) error {
+	putUvarint(bw, uint64(ph.Index))
+	putString(bw, ph.Label)
+	putUvarint(bw, uint64(len(ph.Kernels)))
+	var dec BlockDecoder
+	for i := range ph.Kernels {
+		k := &ph.Kernels[i]
+		putUvarint(bw, uint64(k.GPU))
+		putString(bw, k.Name)
+		putUvarint(bw, k.ComputeOps)
+		putUvarint(bw, k.LocalStreamBytes)
+		putUvarint(bw, uint64(k.NumAccesses()))
+		prevAddr := uint64(0)
+		err := k.EachBlock(&dec, func(accs []Access) bool {
+			for _, a := range accs {
+				bw.WriteByte(byte(a.Op))
+				bw.WriteByte(byte(a.Scope))
+				bw.WriteByte(byte(a.Pattern))
+				bw.WriteByte(a.Threads)
+				bw.WriteByte(a.ElemBytes)
+				putUvarint(bw, uint64(a.Stride))
+				putUvarint(bw, uint64(a.Seed))
+				putVarint(bw, int64(a.Addr)-int64(prevAddr))
+				prevAddr = a.Addr
+			}
+			return true
+		})
+		if err != nil {
+			return fmt.Errorf("trace: encoding kernel %q: %w", k.Name, err)
+		}
+	}
+	return nil
+}
+
+// decodePhase reads one phase in the phase layout above, validating each
+// record and appending it to its kernel's column encoder. Nothing is sized
+// by a declared count, so a short input costs only what it holds.
+func decodePhase(br *bufio.Reader) (*Phase, error) {
+	var ph Phase
+	idx, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, err
+	}
+	ph.Index = int(idx)
+	if ph.Label, err = getString(br); err != nil {
+		return nil, err
+	}
+	numKernels, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, err
+	}
+	if numKernels > 1<<20 {
+		return nil, fmt.Errorf("trace: implausible kernel count %d", numKernels)
+	}
+	var hdr [5]byte
+	for ki := uint64(0); ki < numKernels; ki++ {
+		var k Kernel
+		gpu, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, err
+		}
+		k.GPU = int(gpu)
+		if k.Name, err = getString(br); err != nil {
+			return nil, err
+		}
+		if k.ComputeOps, err = binary.ReadUvarint(br); err != nil {
+			return nil, err
+		}
+		if k.LocalStreamBytes, err = binary.ReadUvarint(br); err != nil {
+			return nil, err
+		}
+		numAcc, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, err
+		}
+		if numAcc > 1<<28 {
+			return nil, fmt.Errorf("trace: implausible access count %d", numAcc)
+		}
+		var enc ColumnEncoder
+		prevAddr := uint64(0)
+		for ai := uint64(0); ai < numAcc; ai++ {
+			if _, err := io.ReadFull(br, hdr[:]); err != nil {
+				return nil, err
+			}
+			a := Access{Op: Op(hdr[0]), Scope: Scope(hdr[1]), Pattern: Pattern(hdr[2]), Threads: hdr[3], ElemBytes: hdr[4]}
+			stride, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, err
+			}
+			a.Stride = uint32(stride)
+			seed, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, err
+			}
+			a.Seed = uint32(seed)
+			delta, err := binary.ReadVarint(br)
+			if err != nil {
+				return nil, err
+			}
+			a.Addr = uint64(int64(prevAddr) + delta)
+			prevAddr = a.Addr
+			if err := a.Validate(); err != nil {
+				return nil, fmt.Errorf("trace: kernel %d access %d: %w", ki, ai, err)
+			}
+			enc.Append(a)
+		}
+		k.Col = enc.Finish()
+		ph.Kernels = append(ph.Kernels, k)
+	}
+	return &ph, nil
 }
 
 // EncodeJSON writes a human-readable JSON rendering of the trace, for

@@ -402,98 +402,88 @@ func shortSegmentAccesses(n int) []Access {
 	return out
 }
 
-func TestKernelEachBlockBothForms(t *testing.T) {
-	accs := randomAccesses(2*BlockAccesses+9, 11)
-	flat := Kernel{GPU: 0, Name: "k", Accesses: accs}
-	col := Kernel{GPU: 0, Name: "k", Col: EncodeColumns(accs)}
-	if flat.NumAccesses() != col.NumAccesses() {
-		t.Fatal("NumAccesses disagrees")
-	}
-	var dec BlockDecoder
-	var got []Access
-	if err := col.EachBlock(&dec, func(a []Access) bool {
-		got = append(got, a...)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, accs) {
-		t.Fatal("EachBlock diverged from flat stream")
-	}
-	if !reflect.DeepEqual(col.FlatAccesses(), accs) {
-		t.Fatal("FlatAccesses diverged")
-	}
-	// Early stop.
-	calls := 0
-	if err := col.EachBlock(&dec, func([]Access) bool { calls++; return false }); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("early stop made %d calls", calls)
-	}
-}
-
-func TestColumnizeFlattenInverse(t *testing.T) {
-	orig := sampleProgram()
-	col := Columnize(orig)
-	for pi := range col.Ph {
-		for ki := range col.Ph[pi].Kernels {
-			k := &col.Ph[pi].Kernels[ki]
-			if k.Col == nil || k.Accesses != nil {
-				t.Fatalf("kernel %s not columnized", k.Name)
-			}
-		}
-	}
-	if !reflect.DeepEqual(Flatten(col), orig) {
-		t.Fatal("Flatten(Columnize(p)) != p")
-	}
-	if !reflect.DeepEqual(Summarize(col), Summarize(orig)) {
-		t.Fatal("Summarize disagrees between forms")
-	}
-}
-
-func TestBinaryCodecAgnosticToStorage(t *testing.T) {
-	// The wire format must not depend on the in-memory storage form.
-	var flat, col bytes.Buffer
-	if err := Encode(&flat, sampleProgram()); err != nil {
-		t.Fatal(err)
-	}
-	if err := Encode(&col, Columnize(sampleProgram())); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(flat.Bytes(), col.Bytes()) {
-		t.Fatal("binary encoding differs between flat and columnar kernels")
-	}
-	var s1, s2 bytes.Buffer
-	if err := EncodeStream(&s1, sampleProgram()); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeStream(&s2, Columnize(sampleProgram())); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
-		t.Fatal("stream encoding differs between flat and columnar kernels")
-	}
-}
-
-func TestRecordedSpill(t *testing.T) {
-	rec := Columnize(sampleProgram())
+// spilledSample is sampleProgram with its column blocks moved to a spill
+// file.
+func spilledSample(t *testing.T) *Recorded {
+	t.Helper()
+	rec := sampleProgram()
 	sf, err := NewSpillFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	freed, err := rec.Spill(sf)
+	t.Cleanup(func() { sf.Close() })
+	if freed, err := rec.Spill(sf); err != nil || freed == 0 {
+		t.Fatalf("spill: freed %d, err %v", freed, err)
+	}
+	if freed, err := rec.Spill(sf); err != nil || freed != 0 {
+		t.Fatalf("second spill: freed %d, err %v", freed, err)
+	}
+	return rec
+}
+
+func TestKernelEachBlockBothForms(t *testing.T) {
+	accs := randomAccesses(2*BlockAccesses+9, 11)
+	resident := Kernel{GPU: 0, Name: "k", Col: EncodeColumns(accs)}
+	spilled := Kernel{GPU: 0, Name: "k", Col: EncodeColumns(accs)}
+	sf, err := NewSpillFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if freed == 0 {
-		t.Fatal("nothing freed")
+	defer sf.Close()
+	if _, err := spilled.Col.SpillTo(sf); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(Flatten(rec), sampleProgram()) {
-		t.Fatal("spilled trace no longer replays identically")
+	var dec BlockDecoder
+	for name, k := range map[string]Kernel{"resident": resident, "spilled": spilled} {
+		if k.NumAccesses() != len(accs) {
+			t.Fatalf("%s: NumAccesses %d, want %d", name, k.NumAccesses(), len(accs))
+		}
+		var got []Access
+		if err := k.EachBlock(&dec, func(a []Access) bool {
+			got = append(got, a...)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, accs) {
+			t.Fatalf("%s: EachBlock diverged from the encoded stream", name)
+		}
+		// Early stop.
+		calls := 0
+		if err := k.EachBlock(&dec, func([]Access) bool { calls++; return false }); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 {
+			t.Fatalf("%s: early stop made %d calls", name, calls)
+		}
 	}
-	// Spilling a flat trace is a no-op.
-	if f2, err := sampleProgram().Spill(sf); err != nil || f2 != 0 {
-		t.Fatalf("flat spill: freed %d, err %v", f2, err)
+	if (&Kernel{}).EachBlock(&dec, func([]Access) bool { t.Fatal("kernel without accesses yielded"); return true }) != nil {
+		t.Fatal("kernel without accesses failed")
+	}
+}
+
+func TestBinaryCodecAgnosticToStorage(t *testing.T) {
+	// The wire format must not depend on where the blocks live.
+	var resident, spilled bytes.Buffer
+	if err := Encode(&resident, sampleProgram()); err != nil {
+		t.Fatal(err)
+	}
+	if err := Encode(&spilled, spilledSample(t)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resident.Bytes(), spilled.Bytes()) {
+		t.Fatal("binary encoding differs between resident and spilled kernels")
+	}
+}
+
+func TestRecordedSpill(t *testing.T) {
+	rec, orig := spilledSample(t), sampleProgram()
+	for pi := range orig.Ph {
+		for ki := range orig.Ph[pi].Kernels {
+			got, want := rec.Ph[pi].Kernels[ki].Col, orig.Ph[pi].Kernels[ki].Col
+			if !got.Spilled() || !reflect.DeepEqual(decodeAll(t, got), decodeAll(t, want)) {
+				t.Fatalf("phase %d kernel %d: spilled trace no longer replays identically", pi, ki)
+			}
+		}
 	}
 }

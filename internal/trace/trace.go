@@ -159,35 +159,20 @@ type Kernel struct {
 	// than as per-line records to keep traces compact; no paradigm ever
 	// moves it between GPUs.
 	LocalStreamBytes uint64
-	// Exactly one of Accesses and Col describes the instruction stream.
-	// Accesses is the flat array-of-structs form (hand-built traces, the
-	// binary codec); Col is the compressed columnar form internal/workload
-	// emits. Consumers that replay sequentially should use EachBlock or a
-	// BlockDecoder, which handle both.
-	Accesses []Access
-	Col      *ColumnAccesses
+	// Col is the instruction stream in compressed columnar blocks, nil for a
+	// kernel with no accesses. Build one with a ColumnEncoder or
+	// EncodeColumns; read it sequentially with EachBlock or a BlockDecoder.
+	Col *ColumnAccesses
 }
 
-// NumAccesses returns the kernel's instruction count in either storage form.
-func (k *Kernel) NumAccesses() int {
-	if k.Col != nil {
-		return k.Col.Len()
-	}
-	return len(k.Accesses)
-}
+// NumAccesses returns the kernel's instruction count.
+func (k *Kernel) NumAccesses() int { return k.Col.Len() }
 
-// EachBlock yields the kernel's access stream in decode-order chunks: the
-// whole flat slice at once, or one decoded block at a time through dec
-// (whose buffer each yielded slice aliases). Iteration stops early if yield
-// returns false. The only possible errors are spill-file I/O and internal
-// codec corruption.
+// EachBlock yields the kernel's access stream one decoded block at a time
+// through dec, whose buffer each yielded slice aliases. Iteration stops
+// early if yield returns false. The only possible errors are spill-file I/O
+// and internal codec corruption.
 func (k *Kernel) EachBlock(dec *BlockDecoder, yield func([]Access) bool) error {
-	if k.Col == nil {
-		if len(k.Accesses) > 0 {
-			yield(k.Accesses)
-		}
-		return nil
-	}
 	for i := 0; i < k.Col.NumBlocks(); i++ {
 		accs, err := dec.Decode(k.Col, i)
 		if err != nil {
@@ -198,24 +183,6 @@ func (k *Kernel) EachBlock(dec *BlockDecoder, yield func([]Access) bool) error {
 		}
 	}
 	return nil
-}
-
-// FlatAccesses materializes the kernel's stream as one flat slice. Flat
-// kernels return their slice directly (no copy); columnar kernels decode
-// every block. Intended for tests and inspection tools, not replay.
-func (k *Kernel) FlatAccesses() []Access {
-	if k.Col == nil {
-		return k.Accesses
-	}
-	out := make([]Access, 0, k.Col.Len())
-	var dec BlockDecoder
-	if err := k.EachBlock(&dec, func(accs []Access) bool {
-		out = append(out, accs...)
-		return true
-	}); err != nil {
-		panic(fmt.Sprintf("trace: decoding columnar kernel %q: %v", k.Name, err))
-	}
-	return out
 }
 
 // Phase groups the kernels that run concurrently between two global
@@ -366,8 +333,8 @@ func (r *Recorded) Phases(yield func(*Phase) bool) {
 	}
 }
 
-// Collect materializes any Program into a Recorded trace. Flat access
-// slices are deep-copied; columnar stores are shared by pointer (their
+// Collect materializes any Program into a Recorded trace. Each phase's
+// Kernels slice is copied; column stores are shared by pointer (their
 // encoded blocks are immutable).
 func Collect(p Program) *Recorded {
 	rec := &Recorded{M: p.Meta()}
@@ -375,22 +342,14 @@ func Collect(p Program) *Recorded {
 		cp := *ph
 		cp.Kernels = make([]Kernel, len(ph.Kernels))
 		copy(cp.Kernels, ph.Kernels)
-		for i := range cp.Kernels {
-			if cp.Kernels[i].Col != nil {
-				continue
-			}
-			acc := make([]Access, len(ph.Kernels[i].Accesses))
-			copy(acc, ph.Kernels[i].Accesses)
-			cp.Kernels[i].Accesses = acc
-		}
 		rec.Ph = append(rec.Ph, cp)
 		return true
 	})
 	return rec
 }
 
-// Spill moves every columnar kernel's blocks into s, returning the heap
-// bytes freed. Kernels already spilled (or flat) are skipped. On a write
+// Spill moves every kernel's blocks into s, returning the heap bytes freed.
+// Kernels already spilled (or without accesses) are skipped. On a write
 // error the remaining kernels stay resident and the first error is returned
 // alongside whatever was freed; the trace remains fully readable either way.
 func (r *Recorded) Spill(s *SpillFile) (freed uint64, err error) {
@@ -406,41 +365,6 @@ func (r *Recorded) Spill(s *SpillFile) (freed uint64, err error) {
 	return freed, err
 }
 
-// Columnize materializes p with every kernel's stream re-encoded into
-// compressed columnar blocks. Used by tests to cross-check the two replay
-// paths and by tools converting flat traces.
-func Columnize(p Program) *Recorded {
-	rec := Collect(p)
-	for pi := range rec.Ph {
-		for ki := range rec.Ph[pi].Kernels {
-			k := &rec.Ph[pi].Kernels[ki]
-			if k.Col != nil || len(k.Accesses) == 0 {
-				continue
-			}
-			k.Col = EncodeColumns(k.Accesses)
-			k.Accesses = nil
-		}
-	}
-	return rec
-}
-
-// Flatten materializes p with every kernel in the flat array-of-structs
-// form, decoding columnar kernels. The inverse of Columnize.
-func Flatten(p Program) *Recorded {
-	rec := Collect(p)
-	for pi := range rec.Ph {
-		for ki := range rec.Ph[pi].Kernels {
-			k := &rec.Ph[pi].Kernels[ki]
-			if k.Col == nil {
-				continue
-			}
-			k.Accesses = k.FlatAccesses()
-			k.Col = nil
-		}
-	}
-	return rec
-}
-
 // Stats summarizes a program for inspection tools.
 type Stats struct {
 	Phases    int
@@ -454,8 +378,8 @@ type Stats struct {
 	Bytes     uint64
 }
 
-// Summarize scans a program and tallies instruction counts. Columnar
-// kernels are decoded block by block with constant memory.
+// Summarize scans a program and tallies instruction counts, decoding each
+// kernel block by block with constant memory.
 func Summarize(p Program) Stats {
 	var s Stats
 	var dec BlockDecoder

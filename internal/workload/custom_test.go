@@ -43,7 +43,7 @@ func TestParseCustomStencil(t *testing.T) {
 	prog.Phases(func(ph *trace.Phase) bool {
 		phases++
 		for _, k := range ph.Kernels {
-			for _, a := range k.FlatAccesses() {
+			for _, a := range kernelAccesses(t, &k) {
 				if err := a.Validate(); err != nil {
 					t.Fatal(err)
 				}
@@ -108,7 +108,7 @@ func TestCustomStencilRunsEndToEnd(t *testing.T) {
 		var w uint64
 		p.Phases(func(ph *trace.Phase) bool {
 			for _, k := range ph.Kernels {
-				for _, a := range k.FlatAccesses() {
+				for _, a := range kernelAccesses(t, &k) {
 					if a.IsWrite() {
 						w += a.Bytes()
 					}

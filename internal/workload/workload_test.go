@@ -11,6 +11,20 @@ func smallCfg(gpus int) Config {
 	return Config{NumGPUs: gpus, Iterations: 2, Scale: 1, Seed: 1}
 }
 
+// kernelAccesses decodes k's whole access stream.
+func kernelAccesses(t testing.TB, k *trace.Kernel) []trace.Access {
+	t.Helper()
+	var out []trace.Access
+	var dec trace.BlockDecoder
+	if err := k.EachBlock(&dec, func(accs []trace.Access) bool {
+		out = append(out, accs...)
+		return true
+	}); err != nil {
+		t.Fatalf("kernel %s: %v", k.Name, err)
+	}
+	return out
+}
+
 func TestCatalogMatchesTable2(t *testing.T) {
 	specs := Catalog()
 	if len(specs) != 8 {
@@ -92,7 +106,7 @@ func TestEveryAppProducesValidTraces(t *testing.T) {
 					if k.NumAccesses() == 0 {
 						t.Fatalf("kernel %s has no accesses", k.Name)
 					}
-					for _, a := range k.FlatAccesses() {
+					for _, a := range kernelAccesses(t, &k) {
 						if err := a.Validate(); err != nil {
 							t.Fatalf("invalid access: %v", err)
 						}
@@ -131,7 +145,7 @@ func TestStrongScalingPreservesTotalWork(t *testing.T) {
 	writeBytes := func(p trace.Program) (w, r uint64) {
 		p.Phases(func(ph *trace.Phase) bool {
 			for _, k := range ph.Kernels {
-				for _, a := range k.FlatAccesses() {
+				for _, a := range kernelAccesses(t, &k) {
 					if a.IsWrite() {
 						w += a.Bytes()
 					} else if a.Op == trace.OpLoad {
@@ -184,7 +198,7 @@ func TestJacobiSingleVisitStores(t *testing.T) {
 	p.Phases(func(ph *trace.Phase) bool {
 		for _, k := range ph.Kernels {
 			seen := map[uint64]bool{}
-			for _, a := range k.FlatAccesses() {
+			for _, a := range kernelAccesses(t, &k) {
 				if a.Op != trace.OpStore {
 					continue
 				}
@@ -211,7 +225,7 @@ func TestMultiPassStoresRevisitWithinBlock(t *testing.T) {
 	var gaps []int
 	lastPos := map[uint64]int{}
 	pos := 0
-	for _, a := range firstKernel.FlatAccesses() {
+	for _, a := range kernelAccesses(t, firstKernel) {
 		if a.Op != trace.OpStore {
 			continue
 		}
@@ -305,7 +319,7 @@ func TestControlCatalogValidTraces(t *testing.T) {
 					if k.ComputeOps == 0 || k.NumAccesses() == 0 {
 						t.Fatalf("kernel %s incomplete", k.Name)
 					}
-					for _, a := range k.FlatAccesses() {
+					for _, a := range kernelAccesses(t, &k) {
 						if err := a.Validate(); err != nil {
 							t.Fatal(err)
 						}
@@ -332,7 +346,7 @@ func TestControlAppsAreComputeBound(t *testing.T) {
 		p.Phases(func(ph *trace.Phase) bool {
 			for _, k := range ph.Kernels {
 				ops += k.ComputeOps
-				for _, a := range k.FlatAccesses() {
+				for _, a := range kernelAccesses(t, &k) {
 					bytes += a.Bytes()
 				}
 			}
@@ -361,7 +375,7 @@ func TestScatteredAccessesHaveSegmentLocality(t *testing.T) {
 	window := uint64(6 << 20)
 	kb.scattered(trace.OpAtomic, 0, window, 120, 1)
 	k := kb.build()
-	accs := k.FlatAccesses()
+	accs := kernelAccesses(t, &k)
 	if len(accs) != 120 {
 		t.Fatalf("emitted %d instructions", len(accs))
 	}

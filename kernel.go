@@ -9,12 +9,17 @@ import (
 // lineBytes is the modeled cache block size (Table 1).
 const lineBytes = 128
 
-// KernelBuilder assembles one kernel launch's memory access stream. Methods
-// chain; the kernel executes when passed to Launch.
+// KernelBuilder assembles one kernel launch's memory access stream,
+// encoding it into compressed trace blocks as it goes. Methods chain; the
+// kernel executes when passed to Launch. The first successful Launch seals
+// the stream: launching the builder again runs the same kernel, and adding
+// accesses after that records an error.
 type KernelBuilder struct {
-	sys *System
-	k   trace.Kernel
-	err error
+	sys    *System
+	k      trace.Kernel
+	enc    trace.ColumnEncoder
+	sealed bool
+	err    error
 }
 
 // NewKernel starts building a kernel for device.
@@ -40,8 +45,16 @@ func (k *KernelBuilder) LocalStream(bytes uint64) *KernelBuilder {
 	return k
 }
 
+// checkOpen reports whether accesses may still be added.
+func (k *KernelBuilder) checkOpen() bool {
+	if k.err == nil && k.sealed {
+		k.err = fmt.Errorf("gps: kernel %q adds accesses after its launch", k.k.Name)
+	}
+	return k.err == nil
+}
+
 func (k *KernelBuilder) checkRange(b *Buffer, off, bytes uint64) bool {
-	if k.err != nil {
+	if !k.checkOpen() {
 		return false
 	}
 	if b == nil {
@@ -56,30 +69,26 @@ func (k *KernelBuilder) checkRange(b *Buffer, off, bytes uint64) bool {
 	return true
 }
 
+// sweep appends lines full-warp contiguous ops, one per cache line from
+// addr on.
+func (k *KernelBuilder) sweep(op trace.Op, addr, lines uint64) {
+	k.enc.AppendRun(trace.Access{
+		Op: op, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: addr,
+	}, int(lines), lineBytes)
+}
+
 // Load streams contiguous reads over b[off : off+bytes).
 func (k *KernelBuilder) Load(b *Buffer, off, bytes uint64) *KernelBuilder {
-	if !k.checkRange(b, off, bytes) {
-		return k
-	}
-	for o := uint64(0); o < bytes; o += lineBytes {
-		k.k.Accesses = append(k.k.Accesses, trace.Access{
-			Op: trace.OpLoad, Pattern: trace.PatContiguous,
-			Threads: 32, ElemBytes: 4, Addr: b.base + off + o,
-		})
+	if k.checkRange(b, off, bytes) {
+		k.sweep(trace.OpLoad, b.base+off, (bytes+lineBytes-1)/lineBytes)
 	}
 	return k
 }
 
 // Store streams contiguous writes over b[off : off+bytes).
 func (k *KernelBuilder) Store(b *Buffer, off, bytes uint64) *KernelBuilder {
-	if !k.checkRange(b, off, bytes) {
-		return k
-	}
-	for o := uint64(0); o < bytes; o += lineBytes {
-		k.k.Accesses = append(k.k.Accesses, trace.Access{
-			Op: trace.OpStore, Pattern: trace.PatContiguous,
-			Threads: 32, ElemBytes: 4, Addr: b.base + off + o,
-		})
+	if k.checkRange(b, off, bytes) {
+		k.sweep(trace.OpStore, b.base+off, (bytes+lineBytes-1)/lineBytes)
 	}
 	return k
 }
@@ -102,12 +111,7 @@ func (k *KernelBuilder) StoreMultiPass(b *Buffer, off, bytes uint64, passes, blo
 			end = lines
 		}
 		for p := 0; p < passes; p++ {
-			for l := start; l < end; l++ {
-				k.k.Accesses = append(k.k.Accesses, trace.Access{
-					Op: trace.OpStore, Pattern: trace.PatContiguous,
-					Threads: 32, ElemBytes: 4, Addr: b.base + off + l*lineBytes,
-				})
-			}
+			k.sweep(trace.OpStore, b.base+off+start*lineBytes, end-start)
 		}
 	}
 	return k
@@ -135,7 +139,7 @@ func (k *KernelBuilder) scatter(op trace.Op, b *Buffer, off, window uint64, warp
 		return k
 	}
 	for i := 0; i < warps; i++ {
-		k.k.Accesses = append(k.k.Accesses, trace.Access{
+		k.enc.Append(trace.Access{
 			Op: op, Pattern: trace.PatScattered,
 			Threads: 32, ElemBytes: 4,
 			Stride: uint32(windowLines),
@@ -149,13 +153,15 @@ func (k *KernelBuilder) scatter(op trace.Op, b *Buffer, off, window uint64, warp
 // FenceSys issues a sys-scoped memory fence: the GPS write queue flushes
 // and all prior stores become visible system-wide.
 func (k *KernelBuilder) FenceSys() *KernelBuilder {
-	k.k.Accesses = append(k.k.Accesses, trace.Access{Op: trace.OpFence, Scope: trace.ScopeSys})
+	if k.checkOpen() {
+		k.enc.Append(trace.Access{Op: trace.OpFence, Scope: trace.ScopeSys})
+	}
 	return k
 }
 
 // Launch records one phase: the given kernels run concurrently (at most one
 // per device) and a global barrier (with its implicit sys-scoped release)
-// ends the phase.
+// ends the phase. A rejected Launch leaves every builder as it was.
 func (s *System) Launch(kernels ...*KernelBuilder) error {
 	if s.finished {
 		return fmt.Errorf("gps: system already ran")
@@ -163,7 +169,6 @@ func (s *System) Launch(kernels ...*KernelBuilder) error {
 	if len(kernels) == 0 {
 		return fmt.Errorf("gps: empty launch")
 	}
-	ph := trace.Phase{Index: len(s.phases)}
 	seen := map[int]bool{}
 	for _, kb := range kernels {
 		if kb.err != nil {
@@ -173,8 +178,14 @@ func (s *System) Launch(kernels ...*KernelBuilder) error {
 			return fmt.Errorf("gps: two kernels on device %d in one phase", kb.k.GPU)
 		}
 		seen[kb.k.GPU] = true
-		if len(kb.k.Accesses) == 0 && kb.k.ComputeOps == 0 {
+		if kb.enc.Len() == 0 && kb.k.Col == nil && kb.k.ComputeOps == 0 {
 			return fmt.Errorf("gps: kernel %q does nothing", kb.k.Name)
+		}
+	}
+	ph := trace.Phase{Index: len(s.phases)}
+	for _, kb := range kernels {
+		if !kb.sealed {
+			kb.k.Col, kb.sealed = kb.enc.Finish(), true
 		}
 		ph.Kernels = append(ph.Kernels, kb.k)
 	}
