@@ -94,16 +94,17 @@ benchgate:
 	$(GO) run ./cmd/gpsbench -all -parallel 1 -json /tmp/gpsbench-gate.json
 	$(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE) -v /tmp/gpsbench-gate.json
 
-## chaos: the resilience gate — fault-injected suites under -race, fuzz
-## passes over the trace decoders and the run encoder, and the SIGKILL
-## crash-recovery smoke.
+## chaos: the resilience gate — fault-injected suites and the terminal
+## accounting invariant under -race, fuzz passes over the trace decoders,
+## the run encoder and journal replay, and the SIGKILL crash-recovery smoke.
 chaos:
 	$(GO) test -race ./internal/faultinject/ ./internal/retry/
 	$(GO) test -race -run 'Panic|Injected|CellError|Deterministic' ./internal/experiments/
-	$(GO) test -race -run 'Chaos|Journal|Panic|Fault|Injected' ./internal/service/
+	$(GO) test -race -run 'Chaos|Journal|Panic|Fault|Injected|Terminal' ./internal/service/
 	$(GO) test -race -run 'ZeroCell|Oversized|JournalFailure' ./internal/httpapi/
 	$(GO) test -fuzz=FuzzDecodeTrace -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzColumnBlock -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzColumnEncoderRuns -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz=FuzzSpanSplit -fuzztime=10s ./internal/paradigm/
+	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/service/
 	sh scripts/chaos_smoke.sh

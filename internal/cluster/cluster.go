@@ -64,6 +64,7 @@ type Local interface {
 	SubmitTraced(spec service.Spec, parent obs.TraceContext) (service.Status, service.Outcome, error)
 	WaitResult(ctx context.Context, id string) (service.Status, *report.Report, error)
 	Metrics() service.Metrics
+	JobsStolen() uint64
 	ResultByHash(hash string) (*report.Report, bool)
 	Steal(thief string) (service.StolenJob, bool)
 	CompleteStolen(id string, res *report.Report, errMsg string) error
@@ -93,6 +94,8 @@ type Config struct {
 	Logger Logger
 	// Registry, when non-nil, exposes the cluster counters as Prometheus
 	// series (forwards, proxied reads, peer fetches, steals, peer liveness).
+	// A registry serves one Cluster: New panics on a registry another
+	// Cluster already fills, since the two would share counters.
 	Registry *obs.Registry
 }
 
@@ -122,10 +125,9 @@ type Cluster struct {
 	peers map[string]*Peer
 	order []string // peer IDs in AddPeer order, for stable iteration
 
-	forwards, forwardErrs  atomic.Uint64
-	proxiedReads           atomic.Uint64
-	peerFetches            atomic.Uint64
-	stealsThief, stealErrs atomic.Uint64
+	// Registry-owned counters: /metrics and Stats read one instrument.
+	forwards, forwardErrs, proxiedReads, peerFetches *obs.Counter
+	stealsThief, stealErrs                           *obs.Counter
 
 	// Per-hop latency histograms: how long one cross-node leg of a job's
 	// journey takes (forward POST, steal round trip, takeover adoption).
@@ -143,16 +145,18 @@ type Cluster struct {
 	delegated      []delegation    // parked until Start provides runCtx
 
 	// Replica state (this node as successor) and self-healing counters.
-	replEnabled             atomic.Bool
-	replicas                *replicaStore
-	replSent, replErrs      atomic.Uint64
-	replIngested            atomic.Uint64
-	takeovers, takeoverJobs atomic.Uint64
+	replEnabled                      atomic.Bool
+	replicas                         *replicaStore
+	replSent, replErrs, replIngested *obs.Counter
+	takeovers, takeoverJobs          *obs.Counter
 }
 
 // New builds a single-member cluster around Self; AddPeer grows it. Bind
 // attaches the local service before Start.
 func New(cfg Config) *Cluster {
+	if cfg.Registry.Has("gpsd_cluster_forwards_total") {
+		panic("cluster: registry already serves another Cluster; its counters would be shared")
+	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
@@ -179,13 +183,25 @@ func New(cfg Config) *Cluster {
 		replicas:     newReplicaStore(),
 	}
 	c.ring.Add(cfg.Self)
-	// Registry.Histogram tolerates a nil registry (returns a working,
-	// unregistered histogram), so the hop timers are always usable.
+	// A nil registry hands out working, unregistered instruments, so the
+	// counters and hop timers are always usable.
+	reg := cfg.Registry
 	const hopHelp = "Latency of one cross-node hop in a job's lifecycle."
-	c.hopForward = cfg.Registry.Histogram("gpsd_cluster_hop_seconds", hopHelp, nil, "hop", "forward")
-	c.hopSteal = cfg.Registry.Histogram("gpsd_cluster_hop_seconds", hopHelp, nil, "hop", "steal")
-	c.hopAdopt = cfg.Registry.Histogram("gpsd_cluster_hop_seconds", hopHelp, nil, "hop", "adopt")
-	c.registerMetrics(cfg.Registry)
+	c.hopForward = reg.Histogram("gpsd_cluster_hop_seconds", hopHelp, nil, "hop", "forward")
+	c.hopSteal = reg.Histogram("gpsd_cluster_hop_seconds", hopHelp, nil, "hop", "steal")
+	c.hopAdopt = reg.Histogram("gpsd_cluster_hop_seconds", hopHelp, nil, "hop", "adopt")
+	c.forwards = reg.Counter("gpsd_cluster_forwards_total", "Submits forwarded to their owner node.")
+	c.forwardErrs = reg.Counter("gpsd_cluster_forward_errors_total", "Forwarded submits that failed in transit.")
+	c.proxiedReads = reg.Counter("gpsd_cluster_proxied_reads_total", "Status/result/cancel requests proxied to the owning node.")
+	c.peerFetches = reg.Counter("gpsd_cluster_peer_fetches_total", "Results fetched from a peer's content-addressed cache.")
+	c.stealsThief = reg.Counter("gpsd_cluster_steals_total", stealsHelp, "role", "thief")
+	c.stealErrs = reg.Counter("gpsd_cluster_steal_errors_total", "Steal attempts that failed in transit or on the thief.")
+	c.replSent = reg.Counter("gpsd_cluster_journal_replicated_total", "Journal records acknowledged by a ring successor.")
+	c.replErrs = reg.Counter("gpsd_cluster_replication_errors_total", "Replication flushes that failed in transit or were refused.")
+	c.replIngested = reg.Counter("gpsd_cluster_journal_ingested_total", "Replicated journal records accepted from peers.")
+	c.takeovers = reg.Counter("gpsd_cluster_takeovers_total", "Takeover sweeps that promoted a dead peer's jobs.")
+	c.takeoverJobs = reg.Counter("gpsd_cluster_takeover_jobs_total", "Jobs promoted from dead peers' replicated journals.")
+	c.registerMetrics(reg)
 	return c
 }
 
@@ -307,60 +323,50 @@ func (c *Cluster) TakeoverTarget(origin string) string {
 // Stats snapshots the cluster counters for /v1/healthz.
 func (c *Cluster) Stats() client.ClusterStats {
 	return client.ClusterStats{
-		Forwards:      c.forwards.Load(),
-		ForwardErrors: c.forwardErrs.Load(),
-		ProxiedReads:  c.proxiedReads.Load(),
-		PeerFetches:   c.peerFetches.Load(),
-		StealsThief:   c.stealsThief.Load(),
+		Forwards:      c.forwards.Value(),
+		ForwardErrors: c.forwardErrs.Value(),
+		ProxiedReads:  c.proxiedReads.Value(),
+		PeerFetches:   c.peerFetches.Value(),
+		StealsThief:   c.stealsThief.Value(),
 		StealsVictim:  c.victimSteals(),
-		StealErrors:   c.stealErrs.Load(),
+		StealErrors:   c.stealErrs.Value(),
 
 		ReplicationTarget:  c.SuccessorSelf(),
-		ReplicatedRecords:  c.replSent.Load(),
-		ReplicationErrors:  c.replErrs.Load(),
+		ReplicatedRecords:  c.replSent.Value(),
+		ReplicationErrors:  c.replErrs.Value(),
 		ReplicationLag:     c.replicationLag(),
 		ReplicaJobsHeld:    uint64(c.replicas.jobs()),
-		ReplicatedIngested: c.replIngested.Load(),
-		Takeovers:          c.takeovers.Load(),
-		TakeoverJobs:       c.takeoverJobs.Load(),
+		ReplicatedIngested: c.replIngested.Value(),
+		Takeovers:          c.takeovers.Value(),
+		TakeoverJobs:       c.takeoverJobs.Value(),
 	}
 }
 
+// victimSteals reads the local service's steal count: the victim side of a
+// steal is the service handing a queued job out.
 func (c *Cluster) victimSteals() uint64 {
 	if c.local == nil {
 		return 0
 	}
-	return c.local.Metrics().JobsStolen
+	return c.local.JobsStolen()
 }
 
-// registerMetrics binds the cluster counters into the Prometheus registry.
+const stealsHelp = "Work-steal outcomes by role."
+
+// registerMetrics exports the state sampled at scrape time: the victim
+// steal count the local service keeps, peer liveness, and replication
+// progress. A nil registry registers nothing.
 func (c *Cluster) registerMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	u64 := func(f func() uint64) func() float64 {
-		return func() float64 { return float64(f()) }
-	}
-	reg.CounterFunc("gpsd_cluster_forwards_total", "Submits forwarded to their owner node.", u64(c.forwards.Load))
-	reg.CounterFunc("gpsd_cluster_forward_errors_total", "Forwarded submits that failed in transit.", u64(c.forwardErrs.Load))
-	reg.CounterFunc("gpsd_cluster_proxied_reads_total", "Status/result/cancel requests proxied to the owning node.", u64(c.proxiedReads.Load))
-	reg.CounterFunc("gpsd_cluster_peer_fetches_total", "Results fetched from a peer's content-addressed cache.", u64(c.peerFetches.Load))
-	reg.CounterFunc("gpsd_cluster_steals_total", "Work-steal outcomes by role.", u64(c.stealsThief.Load), "role", "thief")
-	reg.CounterFunc("gpsd_cluster_steals_total", "Work-steal outcomes by role.", u64(c.victimSteals), "role", "victim")
-	reg.CounterFunc("gpsd_cluster_steal_errors_total", "Steal attempts that failed in transit or on the thief.", u64(c.stealErrs.Load))
+	reg.CounterFunc("gpsd_cluster_steals_total", stealsHelp,
+		func() float64 { return float64(c.victimSteals()) }, "role", "victim")
 	reg.GaugeFunc("gpsd_cluster_peers_alive", "Peers whose last healthz probe passed.",
 		func() float64 { _, alive := c.PeersHealth(); return float64(alive) })
 	reg.GaugeFunc("gpsd_cluster_peers_total", "Configured remote peers.",
 		func() float64 { return float64(len(c.Peers())) })
-	reg.CounterFunc("gpsd_cluster_journal_replicated_total", "Journal records acknowledged by a ring successor.", u64(c.replSent.Load))
-	reg.CounterFunc("gpsd_cluster_replication_errors_total", "Replication flushes that failed in transit or were refused.", u64(c.replErrs.Load))
-	reg.CounterFunc("gpsd_cluster_journal_ingested_total", "Replicated journal records accepted from peers.", u64(c.replIngested.Load))
 	reg.GaugeFunc("gpsd_cluster_replication_lag_records", "Committed journal records not yet acknowledged by a successor.",
 		func() float64 { return float64(c.replicationLag()) })
 	reg.GaugeFunc("gpsd_cluster_replica_jobs", "Peers' live jobs currently replicated onto this node.",
 		func() float64 { return float64(c.replicas.jobs()) })
-	reg.CounterFunc("gpsd_cluster_takeovers_total", "Takeover sweeps that promoted a dead peer's jobs.", u64(c.takeovers.Load))
-	reg.CounterFunc("gpsd_cluster_takeover_jobs_total", "Jobs promoted from dead peers' replicated journals.", u64(c.takeoverJobs.Load))
 }
 
 // probeOne sends one healthz probe to one peer and folds the outcome into
@@ -537,12 +543,12 @@ func (c *Cluster) ForwardSubmit(ctx context.Context, owner string, body []byte, 
 	start := time.Now()
 	code, resp, err := p.client.Do(ctx, http.MethodPost, "/v1/jobs", body, traceHeader(traceparent))
 	if err != nil {
-		c.forwardErrs.Add(1)
+		c.forwardErrs.Inc()
 		c.suspect(p, err) // one error raises suspicion, not a routing flap
 		return 0, nil, err
 	}
 	c.hopForward.Observe(time.Since(start).Seconds())
-	c.forwards.Add(1)
+	c.forwards.Inc()
 	return code, resp, nil
 }
 
@@ -559,7 +565,7 @@ func (c *Cluster) ProxyJob(ctx context.Context, node, method, path, traceparent 
 		c.suspect(p, err)
 		return 0, nil, err
 	}
-	c.proxiedReads.Add(1)
+	c.proxiedReads.Inc()
 	return code, resp, nil
 }
 
@@ -582,7 +588,7 @@ func (c *Cluster) FetchPeerResult(ctx context.Context, hash string) *report.Repo
 			c.log.Warn("peer result undecodable", "peer", p.ID, "hash", hash, "err", jerr)
 			continue
 		}
-		c.peerFetches.Add(1)
+		c.peerFetches.Inc()
 		c.log.Info("peer result fetched", "peer", p.ID, "hash", hash)
 		return &rep
 	}

@@ -312,7 +312,7 @@ func (c *Cluster) flushReplicationLocked(ctx context.Context, snap []service.Pen
 	code, resp, err := p.client.Do(pctx, http.MethodPost, "/v1/peer/journal", body, nil)
 	cancel()
 	if err != nil || code != http.StatusOK {
-		c.replErrs.Add(1)
+		c.replErrs.Inc()
 		// The successor's view is now uncertain (the batch may or may not
 		// have landed); resync with a snapshot once a successor is live.
 		c.needSnapshot = true
@@ -393,11 +393,11 @@ func (c *Cluster) checkTakeovers() {
 			c.replicas.remove(p.ID, rj.ID)
 			if out != service.AdoptExists {
 				adopted++
-				c.takeoverJobs.Add(1)
+				c.takeoverJobs.Inc()
 			}
 		}
 		if adopted > 0 {
-			c.takeovers.Add(1)
+			c.takeovers.Inc()
 			c.log.Warn("takeover: promoted dead peer's replicated jobs",
 				"origin", p.ID, "jobs", adopted, "outcomes", "queued/cached/coalesced")
 		}

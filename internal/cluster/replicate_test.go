@@ -42,6 +42,7 @@ func (a *adoptRecorder) WaitResult(context.Context, string) (service.Status, *re
 	return service.Status{}, nil, fmt.Errorf("not implemented")
 }
 func (a *adoptRecorder) Metrics() service.Metrics                   { return service.Metrics{} }
+func (a *adoptRecorder) JobsStolen() uint64                         { return 0 }
 func (a *adoptRecorder) ResultByHash(string) (*report.Report, bool) { return nil, false }
 func (a *adoptRecorder) Steal(string) (service.StolenJob, bool)     { return service.StolenJob{}, false }
 func (a *adoptRecorder) CompleteStolen(string, *report.Report, string) error {
@@ -336,4 +337,17 @@ func TestSuspicionThresholdFlakyProbe(t *testing.T) {
 	if !p.Alive() || c.Owner(key) != "p" {
 		t.Fatalf("revive failed: alive=%v owner=%s", p.Alive(), c.Owner(key))
 	}
+}
+
+// TestRegistryServesOneCluster: a second Cluster on a registry another
+// Cluster fills would share its counters, so New refuses it.
+func TestRegistryServesOneCluster(t *testing.T) {
+	reg := obs.NewRegistry()
+	New(Config{Self: "a", StealInterval: -1, Registry: reg})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Cluster on one registry did not panic")
+		}
+	}()
+	New(Config{Self: "b", StealInterval: -1, Registry: reg})
 }

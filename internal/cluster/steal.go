@@ -99,7 +99,7 @@ func (c *Cluster) StealOnce(ctx context.Context) bool {
 	code, body, err := victim.client.Do(sctx, http.MethodPost, "/v1/peer/steal?thief="+c.self, nil, nil)
 	cancel()
 	if err != nil {
-		c.stealErrs.Add(1)
+		c.stealErrs.Inc()
 		victim.alive.Store(false)
 		return false
 	}
@@ -108,12 +108,12 @@ func (c *Cluster) StealOnce(ctx context.Context) bool {
 	}
 	var stolen service.StolenJob
 	if err := json.Unmarshal(body, &stolen); err != nil {
-		c.stealErrs.Add(1)
+		c.stealErrs.Inc()
 		c.log.Warn("steal response undecodable", "victim", victim.ID, "err", err)
 		return false
 	}
 	c.hopSteal.Observe(time.Since(start).Seconds())
-	c.stealsThief.Add(1)
+	c.stealsThief.Inc()
 	c.log.Info("stole job", "victim", victim.ID, "job_id", stolen.ID, "hash", stolen.Hash)
 
 	go c.runStolen(ctx, victim, stolen)
@@ -152,7 +152,7 @@ func (c *Cluster) runStolen(ctx context.Context, victim *Peer, stolen service.St
 
 	payload, err := json.Marshal(pay)
 	if err != nil {
-		c.stealErrs.Add(1)
+		c.stealErrs.Inc()
 		return
 	}
 	pctx, cancel := context.WithTimeout(ctx, 30*time.Second)
@@ -160,7 +160,7 @@ func (c *Cluster) runStolen(ctx context.Context, victim *Peer, stolen service.St
 	code, _, perr := victim.client.Do(pctx, http.MethodPost,
 		"/v1/peer/jobs/"+stolen.ID+"/complete", payload, traceHeader(stolen.Trace.Traceparent()))
 	if perr != nil || code != http.StatusOK {
-		c.stealErrs.Add(1)
+		c.stealErrs.Inc()
 		c.log.Warn("steal completion push failed", "victim", victim.ID,
 			"job_id", stolen.ID, "code", code, "err", perr)
 	}

@@ -186,8 +186,8 @@ const (
 
 // series is one labeled instance of a family: exactly one of the value
 // fields is set. fn-backed series are sampled at exposition time, which is
-// how the registry absorbs counters that already live elsewhere (the
-// service's atomics, the runner's cache stats) without double bookkeeping.
+// how the registry absorbs state that lives elsewhere (queue depth, the
+// runner's cache stats) without double bookkeeping.
 type series struct {
 	labels  string // rendered {k="v",...} block, "" when unlabeled
 	counter *Counter
@@ -281,6 +281,18 @@ func (r *Registry) get(name, help, typ string, kv []string, make func() *series)
 		f.series[labels] = s
 	}
 	return s
+}
+
+// Has reports whether a family named name is registered. Owners of
+// get-or-create instruments use it to refuse a registry that another owner
+// already fills, since they would otherwise share its counters.
+func (r *Registry) Has(name string) bool {
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.families[name] != nil
 }
 
 // Counter returns the counter named name with the given label key/value

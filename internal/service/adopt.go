@@ -75,16 +75,12 @@ func (s *Server) Adopt(origin, id string, spec Spec, trace obs.TraceInfo) (Adopt
 	}
 
 	if res, ok := s.cache.get(hash); ok {
-		s.cacheHits.Add(1)
-		job.State = StateDone
+		s.cacheHits.Inc()
+		s.jobsAdopted.Inc()
 		job.CacheHit = true
-		job.StartedAt, job.FinishedAt = now, now
-		job.Result = res
+		job.StartedAt = now
 		s.jobs[id] = job
-		close(job.done)
-		s.retireLocked(job)
-		s.jobsAdopted.Add(1)
-		s.jobsDone.Add(1)
+		s.finishLocked(job, StateDone, "", res, now)
 		// No execution anywhere on this node: flush the adopted identity as a
 		// static span so the trace keeps its root.
 		s.writeHandoffTrace(handoffTrace{
@@ -101,8 +97,8 @@ func (s *Server) Adopt(origin, id string, spec Spec, trace obs.TraceInfo) (Adopt
 		// executing here (a re-routed re-submit beat the takeover sweep).
 		// The adopted ID becomes a rider that mirrors the leader's outcome.
 		s.jobs[id] = job
-		s.coalesced.Add(1)
-		s.jobsAdopted.Add(1)
+		s.coalesced.Inc()
+		s.jobsAdopted.Inc()
 		leader.Coalesced++
 		go s.finishAdoptedRider(job, leader)
 		s.logger.Info("adopted job coalesced onto in-flight spec",
@@ -127,8 +123,8 @@ func (s *Server) Adopt(origin, id string, spec Spec, trace obs.TraceInfo) (Adopt
 		// dedicated goroutine outside the worker pool.
 		go s.runJobIsolated(job)
 	}
-	s.jobsAdopted.Add(1)
-	s.cacheMisses.Add(1)
+	s.jobsAdopted.Inc()
+	s.cacheMisses.Inc()
 	s.logger.Info("job adopted from dead peer", "job_id", id, "origin", origin, "hash", hash)
 	return AdoptQueued, nil
 }
@@ -142,25 +138,12 @@ func (s *Server) finishAdoptedRider(job, leader *Job) {
 	if job.State.Terminal() { // canceled while riding
 		return
 	}
-	now := time.Now()
-	job.StartedAt, job.FinishedAt = leader.StartedAt, now
-	job.State = leader.State
-	job.Err = leader.Err
-	job.Result = leader.Result
-	switch leader.State {
-	case StateDone:
-		s.jobsDone.Add(1)
-		s.cfg.Journal.record(OpDone, job.ID, nil, nil, "") //nolint:errcheck // terminal close-out
-	case StateCanceled:
-		s.jobsCancd.Add(1)
-		s.cfg.Journal.record(OpCancel, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
-	default:
-		job.State = StateFailed
-		s.jobsFailed.Add(1)
-		s.cfg.Journal.record(OpFail, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
+	state := leader.State
+	if state != StateDone && state != StateCanceled {
+		state = StateFailed
 	}
-	close(job.done)
-	s.retireLocked(job)
+	job.StartedAt = leader.StartedAt
+	s.finishLocked(job, state, leader.Err, leader.Result, time.Now())
 	// The rider never executes; its identity is flushed as a static span
 	// pointing at the leader that actually ran.
 	s.writeHandoffTrace(handoffTrace{

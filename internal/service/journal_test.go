@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,4 +156,64 @@ func TestJournalSubmitFailureRejectsJob(t *testing.T) {
 	if exec.runs.Load() != 0 {
 		t.Errorf("refused job executed anyway")
 	}
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to the journal replay. Whatever
+// the input, replay must not panic, must hand back each pending ID once in
+// the order of its first valid submit record, and must never owe a job
+// whose terminal record follows that submit.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add([]byte(`{"op":"submit","id":"j-000001","spec":{"type":"sensitivity","sensitivity":"tlb"}}
+{"op":"submit","id":"j-000002","spec":{"type":"figure","figure":8}}
+{"op":"start","id":"j-000001"}
+{"op":"done","id":"j-000002"}
+{"op":"submit","id":"j-000001","spec":{"type":"figure","figure":3}}
+{"op":"fail","id":"j-00`))
+	f.Add([]byte(`{"op":"cancel","id":"a"}
+{"op":"submit","id":"a","spec":{}}
+{"op":"submit","id":"","spec":{}}
+{"op":"submit","id":"b"}
+  {"op":"submit","id":"c","spec":{"seed":2}}  ` + "\n\n" + `{"op":"cancel","id":"c"}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pending := replayJournal(data)
+
+		// An independent reading of the same lines: where each ID's first
+		// valid submit sits, and whether a terminal record follows it.
+		firstSubmit := map[string]int{}
+		closed := map[string]bool{}
+		for i, line := range bytes.Split(data, []byte("\n")) {
+			var rec journalRecord
+			if json.Unmarshal(line, &rec) != nil {
+				continue
+			}
+			_, seen := firstSubmit[rec.ID]
+			switch rec.Op {
+			case OpSubmit:
+				if !seen && rec.Spec != nil && rec.ID != "" {
+					firstSubmit[rec.ID] = i
+				}
+			case OpDone, OpFail, OpCancel:
+				if seen {
+					closed[rec.ID] = true
+				}
+			}
+		}
+		last := -1
+		for _, p := range pending {
+			at, ok := firstSubmit[p.ID]
+			switch {
+			case !ok:
+				t.Fatalf("pending %q has no valid submit record", p.ID)
+			case at <= last:
+				t.Fatalf("pending %q repeats or is out of submit order", p.ID)
+			case closed[p.ID]:
+				t.Fatalf("pending %q was closed by a terminal record", p.ID)
+			}
+			last = at
+		}
+		if want := len(firstSubmit) - len(closed); len(pending) != want {
+			t.Fatalf("%d pending, want %d (%d submitted, %d closed)", len(pending), want, len(firstSubmit), len(closed))
+		}
+	})
 }

@@ -132,3 +132,18 @@ func TestServerRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryServesOneServer: instruments are get-or-create by name, so a
+// second Server on the same registry would silently share every lifecycle
+// counter with the first. New refuses it instead.
+func TestRegistryServesOneServer(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Workers: 1, QueueDepth: 1, Registry: reg})
+	defer s.Shutdown(context.Background()) //nolint:errcheck
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Server on one registry did not panic")
+		}
+	}()
+	New(Config{Workers: 1, QueueDepth: 1, Registry: reg})
+}

@@ -122,7 +122,9 @@ type Config struct {
 	Logger *slog.Logger
 	// Registry, when non-nil, exposes the server's operational counters as
 	// Prometheus metrics and records job wait/execution latency
-	// histograms. nil — the default — costs nothing.
+	// histograms. nil — the default — costs nothing. Instruments are
+	// get-or-create by name, so a registry serves one Server: New panics
+	// on a registry another Server already fills.
 	Registry *obs.Registry
 	// TraceDir, when non-empty, writes one Perfetto-loadable span trace per
 	// executed job to TraceDir/<job-id>.trace.json: the job span, one span
@@ -245,6 +247,16 @@ type Server struct {
 	// canceled) — the cluster-wide RED latency signal.
 	jobE2E *obs.Histogram
 
+	// The lifecycle counters are registry-owned like the histograms: the
+	// /metrics series and the /v1/metrics snapshot read one instrument.
+	// ended holds the gpsd_jobs_total series of the three terminal states.
+	submitted, rejected, coalesced, replayed *obs.Counter
+	ended                                    map[State]*obs.Counter
+	jobRetries, jobPanics, jobsAdopted       *obs.Counter
+	jobsStolen, stealsCompleted              *obs.Counter
+	stealReclaims, peerFetched               *obs.Counter
+	cacheHits, cacheMisses, cacheWriteErrs   *obs.Counter
+
 	mu       sync.Mutex
 	closed   bool
 	seq      uint64
@@ -252,16 +264,6 @@ type Server struct {
 	inflight map[string]*Job // canonical hash -> queued/running job
 	cache    *resultCache
 	terminal []string // terminal job IDs in completion order, for pruning
-
-	submitted, rejected, coalesced  atomic.Uint64
-	jobsDone, jobsFailed, jobsCancd atomic.Uint64
-	cacheHits, cacheMisses          atomic.Uint64
-	jobRetries, jobPanics           atomic.Uint64
-	replayed, cacheWriteErrs        atomic.Uint64
-	jobsStolen, stealsCompleted     atomic.Uint64
-	stealReclaims, peerFetched      atomic.Uint64
-	jobsAdopted                     atomic.Uint64
-	execSeconds                     float64 // guarded by mu
 }
 
 // New builds a Server and starts its worker pool. With a journal
@@ -269,21 +271,42 @@ type Server struct {
 // process died are re-enqueued first, under their original IDs, so clients
 // can keep polling the handles they already hold.
 func New(cfg Config) *Server {
+	if cfg.Registry.Has("gpsd_jobs_total") {
+		panic("service: registry already serves another Server; its counters would be shared")
+	}
 	cfg = cfg.withDefaults()
 	var pending []PendingJob
 	if cfg.Journal != nil {
 		pending = cfg.Journal.TakePending()
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
+	// A nil registry hands out working, unregistered instruments, so no
+	// call site branches on whether metrics are exported.
+	reg := cfg.Registry
+	jobs := func(event string) *obs.Counter {
+		return reg.Counter("gpsd_jobs_total", "Job lifecycle events by kind.", "event", event)
+	}
 	s := &Server{
 		cfg:        cfg,
 		start:      time.Now(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		logger:     cfg.Logger,
-		jobWait:    cfg.Registry.Histogram("gpsd_job_wait_seconds", "Time jobs spend queued before a worker picks them up.", nil),
-		jobExec:    cfg.Registry.Histogram("gpsd_job_exec_seconds", "Wall-clock execution time of finished jobs.", nil),
-		jobE2E:     cfg.Registry.Histogram("gpsd_job_e2e_seconds", "End-to-end submit to terminal-state latency of jobs retiring on this node.", nil),
+		jobWait:    reg.Histogram("gpsd_job_wait_seconds", "Time jobs spend queued before a worker picks them up.", nil),
+		jobExec:    reg.Histogram("gpsd_job_exec_seconds", "Wall-clock execution time of finished jobs.", nil),
+		jobE2E:     reg.Histogram("gpsd_job_e2e_seconds", "End-to-end submit to terminal-state latency of jobs retiring on this node.", nil),
+
+		submitted: jobs("submitted"), rejected: jobs("rejected"), coalesced: jobs("coalesced"), replayed: jobs("replayed"),
+		ended: map[State]*obs.Counter{
+			StateDone: jobs("done"), StateFailed: jobs("failed"), StateCanceled: jobs("canceled"),
+		},
+		jobRetries: jobs("retried"), jobPanics: jobs("panicked"), jobsAdopted: jobs("adopted"),
+		jobsStolen: jobs("stolen"), stealsCompleted: jobs("steal_completed"),
+		stealReclaims: jobs("steal_reclaimed"), peerFetched: jobs("peer_fetched"),
+		cacheHits:      reg.Counter("gpsd_result_cache_hits_total", "Submissions answered from the result cache."),
+		cacheMisses:    reg.Counter("gpsd_result_cache_misses_total", "Submissions that required execution."),
+		cacheWriteErrs: reg.Counter("gpsd_result_cache_write_errors_total", "Result cache commits that failed."),
+
 		// Replayed jobs ride on extra capacity so recovery can never be
 		// rejected by admission control.
 		queue:    make(chan *Job, cfg.QueueDepth+len(pending)),
@@ -292,7 +315,7 @@ func New(cfg Config) *Server {
 		cache:    newResultCache(cfg.CacheEntries),
 	}
 	s.replayPending(pending)
-	s.registerMetrics(cfg.Registry)
+	s.registerMetrics(reg)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -300,17 +323,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// registerMetrics binds the server's existing atomic counters into the
-// registry as sampled-at-scrape series, so the Prometheus endpoint and the
-// JSON /v1/metrics read the same state with no double bookkeeping. A nil
-// registry is a no-op.
+// registerMetrics exports the state sampled at scrape time: gauges of live
+// server state, the journal's record count, and the shared experiments
+// runner's counters. A nil registry registers nothing.
 func (s *Server) registerMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	u64 := func(f func() uint64) func() float64 {
-		return func() float64 { return float64(f()) }
-	}
 	reg.GaugeFunc("gpsd_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("gpsd_workers", "Configured worker pool size.",
@@ -328,42 +344,16 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 			}
 			return 0
 		})
-
-	jobs := func(event string, f func() uint64) {
-		reg.CounterFunc("gpsd_jobs_total", "Job lifecycle events by kind.", u64(f), "event", event)
-	}
-	jobs("submitted", s.submitted.Load)
-	jobs("done", s.jobsDone.Load)
-	jobs("failed", s.jobsFailed.Load)
-	jobs("canceled", s.jobsCancd.Load)
-	jobs("rejected", s.rejected.Load)
-	jobs("coalesced", s.coalesced.Load)
-	jobs("retried", s.jobRetries.Load)
-	jobs("panicked", s.jobPanics.Load)
-	jobs("replayed", s.replayed.Load)
-	jobs("stolen", s.jobsStolen.Load)
-	jobs("steal_completed", s.stealsCompleted.Load)
-	jobs("steal_reclaimed", s.stealReclaims.Load)
-	jobs("peer_fetched", s.peerFetched.Load)
-	jobs("adopted", s.jobsAdopted.Load)
-
-	reg.CounterFunc("gpsd_result_cache_hits_total", "Submissions answered from the result cache.", u64(s.cacheHits.Load))
-	reg.CounterFunc("gpsd_result_cache_misses_total", "Submissions that required execution.", u64(s.cacheMisses.Load))
-	reg.CounterFunc("gpsd_result_cache_write_errors_total", "Result cache commits that failed.", u64(s.cacheWriteErrs.Load))
 	reg.GaugeFunc("gpsd_result_cache_entries", "Resident result cache entries.",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(s.cache.len())
 		})
-	reg.CounterFunc("gpsd_exec_seconds_total", "Total wall-clock seconds spent executing jobs.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.execSeconds
-		})
+	// Every execution observes jobExec, so its sum is the execution total.
+	reg.CounterFunc("gpsd_exec_seconds_total", "Total wall-clock seconds spent executing jobs.", s.jobExec.Sum)
 	reg.CounterFunc("gpsd_journal_records_total", "Journal records appended by this process.",
-		u64(func() uint64 { return s.cfg.Journal.Records() }))
+		func() float64 { return float64(s.cfg.Journal.Records()) })
 
 	// The shared experiments runner: memoization and resilience counters.
 	cache := func(name, help string, f func(experiments.CacheStats) uint64) {
@@ -459,7 +449,7 @@ func (s *Server) replayPending(pending []PendingJob) {
 				job.stealTimer = time.AfterFunc(s.cfg.StealTimeout, func() { s.reclaimStolen(job) })
 				s.jobs[job.ID] = job
 				s.inflight[hash] = job
-				s.replayed.Add(1)
+				s.replayed.Inc()
 				s.logger.Info("job delegated to takeover successor",
 					"job_id", job.ID, "hash", hash, "successor", delegate)
 				continue
@@ -468,7 +458,7 @@ func (s *Server) replayPending(pending []PendingJob) {
 		s.jobs[job.ID] = job
 		s.inflight[hash] = job
 		s.queue <- job
-		s.replayed.Add(1)
+		s.replayed.Inc()
 		s.logger.Info("job replayed from journal", "job_id", job.ID, "hash", hash)
 	}
 }
@@ -525,23 +515,19 @@ func (s *Server) SubmitTraced(spec Spec, parent obs.TraceContext) (Status, Outco
 	}
 
 	if res, ok := s.cache.get(hash); ok {
-		s.cacheHits.Add(1)
-		s.submitted.Add(1)
+		s.cacheHits.Inc()
+		s.submitted.Inc()
 		job := s.newJobLocked(canon, hash, now, parent)
-		job.State = StateDone
 		job.CacheHit = true
-		job.StartedAt, job.FinishedAt = now, now
-		job.Result = res
-		close(job.done)
-		s.retireLocked(job)
-		s.jobsDone.Add(1)
+		job.StartedAt = now
+		s.finishLocked(job, StateDone, "", res, now)
 		s.logger.Info("job cached", "job_id", job.ID, "hash", hash)
 		return job.snapshot(now), OutcomeCached, nil
 	}
 
 	if leader, ok := s.inflight[hash]; ok {
 		leader.Coalesced++
-		s.coalesced.Add(1)
+		s.coalesced.Inc()
 		s.logger.Info("job coalesced", "job_id", leader.ID, "hash", hash, "riders", leader.Coalesced)
 		return leader.snapshot(now), OutcomeCoalesced, nil
 	}
@@ -551,7 +537,7 @@ func (s *Server) SubmitTraced(spec Spec, parent obs.TraceContext) (Status, Outco
 	case s.queue <- job:
 	default:
 		delete(s.jobs, job.ID)
-		s.rejected.Add(1)
+		s.rejected.Inc()
 		s.logger.Warn("job rejected: queue full", "hash", hash)
 		return Status{}, OutcomeAccepted, ErrQueueFull
 	}
@@ -563,11 +549,11 @@ func (s *Server) SubmitTraced(spec Spec, parent obs.TraceContext) (Status, Outco
 		job.State = StateCanceled
 		delete(s.jobs, job.ID)
 		delete(s.inflight, hash)
-		s.rejected.Add(1)
+		s.rejected.Inc()
 		return Status{}, OutcomeAccepted, jerr
 	}
-	s.submitted.Add(1)
-	s.cacheMisses.Add(1)
+	s.submitted.Inc()
+	s.cacheMisses.Inc()
 	s.logger.Info("job accepted", "job_id", job.ID, "hash", hash, "queue_depth", len(s.queue))
 	return job.snapshot(now), OutcomeAccepted, nil
 }
@@ -643,39 +629,18 @@ func (s *Server) Cancel(id string) (Status, error) {
 		return Status{}, ErrNotFound
 	}
 	now := time.Now()
-	switch job.State {
-	case StateQueued:
-		job.State = StateCanceled
-		job.Err = errJobCanceled.Error()
-		job.FinishedAt = now
-		if s.inflight[job.Hash] == job {
-			delete(s.inflight, job.Hash)
-		}
-		s.jobsCancd.Add(1)
-		s.cfg.Journal.record(OpCancel, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out; replay would just re-cancel
-		close(job.done)
-		s.retireLocked(job)
-		s.logger.Info("job canceled while queued", "job_id", job.ID)
-	case StateRunning:
-		if job.cancel == nil {
-			// Stolen by a peer: there is no local execution to preempt.
-			// Cancel the job here; the thief's late completion is dropped.
-			s.stopStealTimerLocked(job)
-			job.State = StateCanceled
-			job.Err = errJobCanceled.Error()
-			job.FinishedAt = now
-			if s.inflight[job.Hash] == job {
-				delete(s.inflight, job.Hash)
-			}
-			s.jobsCancd.Add(1)
-			s.cfg.Journal.record(OpCancel, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
-			close(job.done)
-			s.retireLocked(job)
-			s.logger.Info("stolen job canceled", "job_id", job.ID, "thief", job.StolenBy)
-			break
-		}
+	switch {
+	case job.State == StateRunning && job.cancel != nil:
 		s.logger.Info("cancel requested", "job_id", job.ID)
 		job.cancel(errJobCanceled)
+	case job.State == StateQueued:
+		s.finishLocked(job, StateCanceled, errJobCanceled.Error(), nil, now)
+		s.logger.Info("job canceled while queued", "job_id", job.ID)
+	case job.State == StateRunning:
+		// Stolen by a peer: there is no local execution to preempt. Cancel
+		// the job here; the thief's late completion is dropped.
+		s.finishLocked(job, StateCanceled, errJobCanceled.Error(), nil, now)
+		s.logger.Info("stolen job canceled", "job_id", job.ID, "thief", job.StolenBy)
 	}
 	return job.snapshot(now), nil
 }
@@ -693,39 +658,19 @@ func (s *Server) worker() {
 // runJobIsolated is the worker's outer panic fence. The inner fence in
 // executeOnce converts executor panics into per-attempt errors; this one is
 // the backstop that keeps the worker goroutine alive and the job terminal
-// if anything outside the executor blows up.
+// if anything outside the executor blows up: the job fails, so waiters
+// never hang on a job the pool abandoned. A job the panic left already
+// terminal only gets its waiters woken.
 func (s *Server) runJobIsolated(job *Job) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.jobPanics.Add(1)
-			s.failPanickedJob(job, panicToError(p))
+			s.jobPanics.Inc()
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			s.finishLocked(job, StateFailed, panicToError(p).Error(), nil, time.Now())
 		}
 	}()
 	s.runJob(job)
-}
-
-// failPanickedJob forces a job whose worker panicked outside the executor
-// fence into the failed state, so waiters never hang on a job the pool
-// abandoned.
-func (s *Server) failPanickedJob(job *Job, cause error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inflight[job.Hash] == job {
-		delete(s.inflight, job.Hash)
-	}
-	if !job.State.Terminal() {
-		job.State = StateFailed
-		job.Err = cause.Error()
-		job.FinishedAt = time.Now()
-		s.jobsFailed.Add(1)
-		s.cfg.Journal.record(OpFail, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
-		s.retireLocked(job)
-	}
-	select {
-	case <-job.done:
-	default:
-		close(job.done)
-	}
 }
 
 // runJob executes one queued job through the configured executor, retrying
@@ -815,7 +760,7 @@ func (s *Server) runJob(job *Job) {
 	// job into a fetch instead of a replay.
 	if s.cfg.RemoteResult != nil {
 		if res := s.cfg.RemoteResult(runCtx, job.Hash); res != nil {
-			s.peerFetched.Add(1)
+			s.peerFetched.Inc()
 			job.PeerFetched = true
 			s.logger.Info("job result fetched from peer", "job_id", job.ID, "hash", job.Hash)
 			s.finishJob(job, runCtx, res, nil)
@@ -827,7 +772,7 @@ func (s *Server) runJob(job *Job) {
 	_, err := retry.Do(runCtx, s.cfg.JobRetry, s.cfg.Sleeper, nil, func(attempt int) error {
 		job.attempts.Store(uint64(attempt))
 		if attempt > 1 {
-			s.jobRetries.Add(1)
+			s.jobRetries.Inc()
 		}
 		r, aerr := s.executeOnce(runCtx, job)
 		if aerr != nil {
@@ -846,7 +791,7 @@ func (s *Server) runJob(job *Job) {
 func (s *Server) executeOnce(ctx context.Context, job *Job) (res *report.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.jobPanics.Add(1)
+			s.jobPanics.Inc()
 			err = &JobError{ID: job.ID, Stack: truncatedStack(), Err: panicToError(p)}
 		}
 	}()
@@ -868,45 +813,24 @@ func (s *Server) finishJob(job *Job, runCtx context.Context, res *report.Report,
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.inflight[job.Hash] == job {
-		delete(s.inflight, job.Hash)
-	}
-	job.FinishedAt = now
-	s.execSeconds += exec.Seconds()
-
 	switch {
 	case errors.Is(cause, errJobCanceled):
 		// User cancel wins even over a result that squeaked through.
-		job.State = StateCanceled
-		job.Err = errJobCanceled.Error()
-		s.jobsCancd.Add(1)
-		s.cfg.Journal.record(OpCancel, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
+		s.finishLocked(job, StateCanceled, errJobCanceled.Error(), nil, now)
 	case err == nil:
-		job.State = StateDone
-		job.Result = res
 		if werr := s.cachePutFenced(job.Hash, res); werr != nil {
 			// A failed cache commit degrades the result to uncached; the
 			// job itself is still done and its result still served.
-			s.cacheWriteErrs.Add(1)
+			s.cacheWriteErrs.Inc()
 		}
-		s.jobsDone.Add(1)
-		s.cfg.Journal.record(OpDone, job.ID, nil, nil, "") //nolint:errcheck // terminal close-out
+		s.finishLocked(job, StateDone, "", res, now)
 	case errors.Is(err, context.DeadlineExceeded):
-		job.State = StateFailed
-		job.Err = fmt.Sprintf("job exceeded timeout %v", s.cfg.JobTimeout)
-		s.jobsFailed.Add(1)
-		s.cfg.Journal.record(OpFail, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
+		s.finishLocked(job, StateFailed, fmt.Sprintf("job exceeded timeout %v", s.cfg.JobTimeout), nil, now)
 	case errors.Is(err, context.Canceled):
 		// Server drain deadline forced the abort.
-		job.State = StateCanceled
-		job.Err = "canceled: " + cause.Error()
-		s.jobsCancd.Add(1)
-		s.cfg.Journal.record(OpCancel, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
+		s.finishLocked(job, StateCanceled, "canceled: "+cause.Error(), nil, now)
 	default:
-		job.State = StateFailed
-		job.Err = err.Error()
-		s.jobsFailed.Add(1)
-		s.cfg.Journal.record(OpFail, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
+		s.finishLocked(job, StateFailed, err.Error(), nil, now)
 	}
 	switch job.State {
 	case StateDone:
@@ -920,8 +844,6 @@ func (s *Server) finishJob(job *Job, runCtx context.Context, res *report.Report,
 		s.logger.Info("job canceled", "job_id", job.ID,
 			"exec_seconds", exec.Seconds(), "err", job.Err)
 	}
-	close(job.done)
-	s.retireLocked(job)
 }
 
 // cachePutFenced commits a result to the content-addressed cache through
@@ -943,9 +865,40 @@ func (s *Server) cachePutFenced(hash string, res *report.Report) (err error) {
 	return nil
 }
 
+// terminalOps maps each terminal state to its journal record.
+var terminalOps = map[State]string{StateDone: OpDone, StateFailed: OpFail, StateCanceled: OpCancel}
+
+// finishLocked is the one terminal transition. Every path that ends a job
+// comes through here under s.mu: execution, a cache hit at submit or
+// adoption, cancel, drain, a thief's completion or the steal reclaim, an
+// adopted rider, and the worker's panic fence. It stops the steal
+// watchdog, releases the single-flight slot the job leads, records the
+// outcome, counts it, journals it, wakes the waiters and retires the job.
+// Born-done cache hits were never journaled, so they get no terminal
+// record. A job that is already terminal only has its waiters woken, which
+// lets the panic fence call this unconditionally.
+func (s *Server) finishLocked(job *Job, state State, errMsg string, res *report.Report, now time.Time) {
+	if !job.State.Terminal() {
+		s.stopStealTimerLocked(job)
+		if s.inflight[job.Hash] == job {
+			delete(s.inflight, job.Hash)
+		}
+		job.State, job.Err, job.Result, job.FinishedAt = state, errMsg, res, now
+		s.ended[state].Inc()
+		if !job.CacheHit {
+			s.cfg.Journal.record(terminalOps[state], job.ID, nil, nil, errMsg) //nolint:errcheck // terminal close-out; a lost record only replays the job
+		}
+		s.retireLocked(job)
+	}
+	select {
+	case <-job.done:
+	default:
+		close(job.done)
+	}
+}
+
 // retireLocked records a terminal job and prunes the oldest ones beyond the
-// retention bound. Every terminal transition funnels through here exactly
-// once, which makes it the single observation point for the end-to-end
+// retention bound. It is the single observation point for the end-to-end
 // latency histogram. Callers hold s.mu.
 func (s *Server) retireLocked(job *Job) {
 	if e2e := job.FinishedAt.Sub(job.SubmittedAt); e2e >= 0 {
@@ -961,7 +914,6 @@ func (s *Server) retireLocked(job *Job) {
 // Metrics snapshots the operational counters.
 func (s *Server) Metrics() Metrics {
 	s.mu.Lock()
-	execSeconds := s.execSeconds
 	cacheEntries := s.cache.len()
 	inflight := len(s.inflight)
 	s.mu.Unlock()
@@ -972,32 +924,32 @@ func (s *Server) Metrics() Metrics {
 		QueueDepth:    len(s.queue),
 		QueueCapacity: s.cfg.QueueDepth,
 
-		JobsSubmitted: s.submitted.Load(),
-		JobsDone:      s.jobsDone.Load(),
-		JobsFailed:    s.jobsFailed.Load(),
-		JobsCanceled:  s.jobsCancd.Load(),
-		JobsRejected:  s.rejected.Load(),
-		JobsCoalesced: s.coalesced.Load(),
+		JobsSubmitted: s.submitted.Value(),
+		JobsDone:      s.ended[StateDone].Value(),
+		JobsFailed:    s.ended[StateFailed].Value(),
+		JobsCanceled:  s.ended[StateCanceled].Value(),
+		JobsRejected:  s.rejected.Value(),
+		JobsCoalesced: s.coalesced.Value(),
 
-		JobRetries:             s.jobRetries.Load(),
-		JobPanics:              s.jobPanics.Load(),
-		JobsReplayed:           s.replayed.Load(),
-		ResultCacheWriteErrors: s.cacheWriteErrs.Load(),
+		JobRetries:             s.jobRetries.Value(),
+		JobPanics:              s.jobPanics.Value(),
+		JobsReplayed:           s.replayed.Value(),
+		ResultCacheWriteErrors: s.cacheWriteErrs.Value(),
 		JournalRecords:         s.cfg.Journal.Records(),
 
-		JobsStolen:      s.jobsStolen.Load(),
-		StealsCompleted: s.stealsCompleted.Load(),
-		StealReclaims:   s.stealReclaims.Load(),
-		JobsPeerFetched: s.peerFetched.Load(),
-		JobsAdopted:     s.jobsAdopted.Load(),
+		JobsStolen:      s.jobsStolen.Value(),
+		StealsCompleted: s.stealsCompleted.Value(),
+		StealReclaims:   s.stealReclaims.Value(),
+		JobsPeerFetched: s.peerFetched.Value(),
+		JobsAdopted:     s.jobsAdopted.Value(),
 
-		ResultCacheHits:    s.cacheHits.Load(),
-		ResultCacheMisses:  s.cacheMisses.Load(),
+		ResultCacheHits:    s.cacheHits.Value(),
+		ResultCacheMisses:  s.cacheMisses.Value(),
 		ResultCacheEntries: cacheEntries,
 
 		JobsInFlight: inflight,
 
-		ExecSecondsTotal: execSeconds,
+		ExecSecondsTotal: s.jobExec.Sum(),
 		RunnerCache:      experiments.Default.CacheStats(),
 		RunnerResilience: experiments.Default.ResilienceStats(),
 	}
@@ -1017,13 +969,11 @@ func (s *Server) Metrics() Metrics {
 // the queue's expected drain time given the mean execution so far, clamped
 // to [1s, 300s]. With no history it answers 1.
 func (s *Server) RetryAfterSeconds() int {
-	executed := s.jobsDone.Load() + s.jobsFailed.Load()
+	executed := s.ended[StateDone].Value() + s.ended[StateFailed].Value()
 	if executed == 0 {
 		return 1
 	}
-	s.mu.Lock()
-	mean := s.execSeconds / float64(executed)
-	s.mu.Unlock()
+	mean := s.jobExec.Sum() / float64(executed)
 	est := mean * float64(len(s.queue)) / float64(s.cfg.Workers)
 	switch {
 	case est < 1:
@@ -1051,16 +1001,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			select {
 			case job := <-s.queue:
 				if job.State == StateQueued {
-					job.State = StateCanceled
-					job.Err = ErrShuttingDown.Error()
-					job.FinishedAt = time.Now()
-					if s.inflight[job.Hash] == job {
-						delete(s.inflight, job.Hash)
-					}
-					s.jobsCancd.Add(1)
-					s.cfg.Journal.record(OpCancel, job.ID, nil, nil, job.Err) //nolint:errcheck // drain close-out
-					close(job.done)
-					s.retireLocked(job)
+					s.finishLocked(job, StateCanceled, ErrShuttingDown.Error(), nil, time.Now())
 				}
 			default:
 				break drain

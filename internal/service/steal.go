@@ -54,7 +54,7 @@ func (s *Server) Steal(thief string) (StolenJob, bool) {
 		job.StolenBy = thief
 		job.StartedAt = time.Now()
 		job.stealTimer = time.AfterFunc(s.cfg.StealTimeout, func() { s.reclaimStolen(job) })
-		s.jobsStolen.Add(1)
+		s.jobsStolen.Inc()
 		s.cfg.Journal.record(OpStart, job.ID, nil, nil, "") //nolint:errcheck // informational; replay re-runs either way
 		s.logger.Info("job stolen", "job_id", job.ID, "thief", thief)
 		out := StolenJob{ID: job.ID, Hash: job.Hash, Spec: job.Spec, Trace: job.Trace.Context()}
@@ -78,38 +78,23 @@ func (s *Server) CompleteStolen(id string, res *report.Report, errMsg string) er
 	if job.State != StateRunning || job.StolenBy == "" {
 		return nil // reclaimed, canceled, or re-run locally; drop the late completion
 	}
-	s.stopStealTimerLocked(job)
-	if s.inflight[job.Hash] == job {
-		delete(s.inflight, job.Hash)
-	}
-	job.FinishedAt = now
 	exec := now.Sub(job.StartedAt)
-	s.execSeconds += exec.Seconds()
 	s.jobExec.Observe(exec.Seconds())
-	switch {
-	case res != nil:
-		job.State = StateDone
-		job.Result = res
+	if res != nil {
 		if werr := s.cachePutFenced(job.Hash, res); werr != nil {
-			s.cacheWriteErrs.Add(1)
+			s.cacheWriteErrs.Inc()
 		}
-		s.jobsDone.Add(1)
-		s.stealsCompleted.Add(1)
-		s.cfg.Journal.record(OpDone, job.ID, nil, nil, "") //nolint:errcheck // terminal close-out
+		s.stealsCompleted.Inc()
+		s.finishLocked(job, StateDone, "", res, now)
 		s.logger.Info("stolen job done", "job_id", job.ID, "thief", job.StolenBy,
 			"exec_seconds", exec.Seconds())
-	default:
+	} else {
 		if errMsg == "" {
 			errMsg = "stolen job failed on thief " + job.StolenBy
 		}
-		job.State = StateFailed
-		job.Err = errMsg
-		s.jobsFailed.Add(1)
-		s.cfg.Journal.record(OpFail, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
+		s.finishLocked(job, StateFailed, errMsg, nil, now)
 		s.logger.Error("stolen job failed", "job_id", job.ID, "thief", job.StolenBy, "err", errMsg)
 	}
-	close(job.done)
-	s.retireLocked(job)
 	// The engine ran on the thief; flush the victim-side span of the trace
 	// so this node's file still roots the job's identity.
 	s.writeHandoffTrace(handoffTrace{
@@ -147,18 +132,9 @@ func (s *Server) reclaimStolen(job *Job) {
 	thief := job.StolenBy
 	s.stopStealTimerLocked(job)
 	job.StolenBy = ""
-	s.stealReclaims.Add(1)
+	s.stealReclaims.Inc()
 	if s.closed {
-		job.State = StateFailed
-		job.Err = fmt.Sprintf("stolen by %s, never completed, server draining", thief)
-		job.FinishedAt = time.Now()
-		s.jobsFailed.Add(1)
-		if s.inflight[job.Hash] == job {
-			delete(s.inflight, job.Hash)
-		}
-		s.cfg.Journal.record(OpFail, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
-		close(job.done)
-		s.retireLocked(job)
+		s.finishLocked(job, StateFailed, fmt.Sprintf("stolen by %s, never completed, server draining", thief), nil, time.Now())
 		return
 	}
 	job.State = StateQueued
@@ -169,18 +145,12 @@ func (s *Server) reclaimStolen(job *Job) {
 	default:
 		// The queue refilled while the job was checked out; failing beats
 		// blocking the watchdog goroutine on a saturated queue.
-		job.State = StateFailed
-		job.Err = fmt.Sprintf("stolen by %s, never completed, queue full on reclaim", thief)
-		job.FinishedAt = time.Now()
-		s.jobsFailed.Add(1)
-		if s.inflight[job.Hash] == job {
-			delete(s.inflight, job.Hash)
-		}
-		s.cfg.Journal.record(OpFail, job.ID, nil, nil, job.Err) //nolint:errcheck // terminal close-out
-		close(job.done)
-		s.retireLocked(job)
+		s.finishLocked(job, StateFailed, fmt.Sprintf("stolen by %s, never completed, queue full on reclaim", thief), nil, time.Now())
 	}
 }
+
+// JobsStolen reports how many queued jobs this node has handed to thieves.
+func (s *Server) JobsStolen() uint64 { return s.jobsStolen.Value() }
 
 // stopStealTimerLocked cancels the reclaim watchdog. Callers hold s.mu.
 func (s *Server) stopStealTimerLocked(job *Job) {

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gps/internal/interconnect"
@@ -107,5 +108,41 @@ func TestSolveWindowConservation(t *testing.T) {
 	lower := total / 16e9
 	if end < lower-1e-9 {
 		t.Fatalf("finished at %v, below physical bound %v", end, lower)
+	}
+}
+
+// TestSolveWindowTieBreakIsDeterministic: GPU0's egress link and GPU1's
+// ingress link tie on share (three flows each over 16 GB/s) and share the
+// 0->1 flow. Whichever link freezes first leaves the other (B-B/3)/2 for
+// its two remaining flows, one ulp off B/3, so the freeze order decides the
+// last bit of the finish times. The solver must break the tie the same way
+// on every solve.
+func TestSolveWindowTieBreakIsDeterministic(t *testing.T) {
+	fab := interconnect.PCIeTree(4, interconnect.PCIe3)
+	if b := fab.Link(0).Bandwidth; (b-b/3)/2 == b/3 {
+		t.Fatalf("bandwidth %v no longer rounds the tied shares apart", b)
+	}
+	type pair struct {
+		src, dst int
+		bytes    float64
+	}
+	pairs := []pair{{0, 1, 16e9}, {0, 2, 12e9}, {0, 3, 16e9}, {2, 1, 4e9}, {3, 1, 8e9}}
+	solve := func() []uint64 {
+		flows := make([]*flow, len(pairs))
+		for i, p := range pairs {
+			flows[i] = &flow{src: p.src, dst: p.dst, bytes: p.bytes, cap: math.Inf(1)}
+		}
+		solveWindow(flows, fab)
+		bits := make([]uint64, len(flows))
+		for i, f := range flows {
+			bits[i] = math.Float64bits(f.finish)
+		}
+		return bits
+	}
+	want := solve()
+	for run := 0; run < 200; run++ {
+		if got := solve(); !slices.Equal(got, want) {
+			t.Fatalf("solve %d finish-time bits %x, first solve %x", run, got, want)
+		}
 	}
 }

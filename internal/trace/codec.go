@@ -260,16 +260,20 @@ func readMeta(br *bufio.Reader) ([]byte, error) {
 	return metaJSON, nil
 }
 
-func putUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
+// putUvarint and putVarint append straight into the writer's free buffer,
+// so encoding allocates nothing per varint.
+func putUvarint(w *bufio.Writer, v uint64) { w.Write(binary.AppendUvarint(varintSpace(w), v)) }
 
-func putVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
+func putVarint(w *bufio.Writer, v int64) { w.Write(binary.AppendVarint(varintSpace(w), v)) }
+
+// varintSpace returns the writer's empty free buffer, flushing first when a
+// varint might not fit, so the append never outgrows it. A flush error
+// sticks in w and surfaces at Encode's final Flush.
+func varintSpace(w *bufio.Writer) []byte {
+	if w.Available() < binary.MaxVarintLen64 {
+		w.Flush() //nolint:errcheck // sticky; reported by the final Flush
+	}
+	return w.AvailableBuffer()
 }
 
 func putString(w *bufio.Writer, s string) {

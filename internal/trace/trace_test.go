@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -270,5 +271,30 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 	}
 	if bin.Len() >= js.Len() {
 		t.Fatalf("binary (%d B) not smaller than JSON (%d B)", bin.Len(), js.Len())
+	}
+}
+
+// TestEncodeAllocsIndependentOfRecords: the binary encoder writes varints
+// into the output buffer in place, so encoding a 10k-record kernel costs a
+// fixed handful of allocations (meta JSON, the writer, block decoding), not
+// a few per record.
+func TestEncodeAllocsIndependentOfRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	accs := make([]Access, 10000)
+	for i := range accs {
+		accs[i] = Access{Op: Op(rng.Intn(4)), Scope: ScopeWeak, Pattern: PatScattered,
+			Threads: 32, ElemBytes: 4, Stride: uint32(1 + rng.Intn(4096)), Seed: rng.Uint32(),
+			Addr: rng.Uint64() % (1 << 40)}
+	}
+	p := &Recorded{M: Meta{Name: "allocs", NumGPUs: 1}, Ph: []Phase{{
+		Kernels: []Kernel{{Name: "k", Col: EncodeColumns(accs)}},
+	}}}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := Encode(io.Discard, p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Errorf("Encode of %d records allocates %.0f times, want O(1)", len(accs), allocs)
 	}
 }
