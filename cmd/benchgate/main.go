@@ -8,9 +8,10 @@
 //	benchgate -baseline BENCH_10.json -wall-ratio 2.0 current.json
 //	benchgate -baseline BENCH_10.json -bless current.json   # adopt current
 //
-// Deterministic metrics (headline claims, memoization work counters) are
-// gated tightly; wall-clock metrics loosely (ratio + absolute floor), so
-// machine noise cannot fail the gate. See internal/benchgate. `make
+// Deterministic metrics are gated tightly: headline claims must match bit
+// for bit and memoization work counters must not grow. Wall-clock metrics
+// are gated loosely (ratio + absolute floor), so machine noise cannot fail
+// the gate. See internal/benchgate. `make
 // benchgate` runs the suite and this gate; `make bench-record` blesses a
 // new baseline.
 //
@@ -34,8 +35,6 @@ func main() {
 			"max allowed current/baseline wall-clock ratio")
 		wallFloor = flag.Float64("wall-floor", benchgate.Defaults().WallFloorSeconds,
 			"wall-clock readings below this many seconds are never gated (noise)")
-		headlineEps = flag.Float64("headline-eps", benchgate.Defaults().HeadlineEps,
-			"relative tolerance on deterministic headline metrics")
 		bless = flag.Bool("bless", false,
 			"copy the current report over the baseline instead of gating (records an intended change)")
 		verbose = flag.Bool("v", false, "print every compared metric, not just regressions")
@@ -68,7 +67,7 @@ func main() {
 	}
 
 	res := benchgate.Compare(base, cur, benchgate.Thresholds{
-		WallRatio: *wallRatio, WallFloorSeconds: *wallFloor, HeadlineEps: *headlineEps,
+		WallRatio: *wallRatio, WallFloorSeconds: *wallFloor,
 	})
 	if *verbose {
 		for _, f := range res.Findings {

@@ -8,8 +8,8 @@
 //   - Deterministic metrics — the Section 7.1 headline numbers and the
 //     runner's work counters (trace builds, engine replays, baseline
 //     simulations) — are identical run-to-run for a fixed configuration, so
-//     they are gated tightly: headline numbers must match within a relative
-//     epsilon (any drift is a simulation-behavior change that needs a
+//     they are gated tightly: headline numbers must match the baseline bit
+//     for bit (any drift is a simulation-behavior change that needs a
 //     deliberate re-bless), and work counters must not grow (more executed
 //     work means a memoization regression; doing less work is an
 //     improvement and passes).
@@ -23,7 +23,6 @@ package benchgate
 
 import (
 	"fmt"
-	"math"
 
 	"gps/internal/report"
 )
@@ -35,14 +34,11 @@ type Thresholds struct {
 	// WallFloorSeconds exempts any wall-clock reading below this absolute
 	// value: sub-floor times are noise regardless of ratio.
 	WallFloorSeconds float64
-	// HeadlineEps is the relative tolerance on the deterministic headline
-	// metrics (gps_mean_x, opportunity_pct, vs_next_best_x).
-	HeadlineEps float64
 }
 
 // Defaults returns the thresholds `make check` runs with.
 func Defaults() Thresholds {
-	return Thresholds{WallRatio: 1.5, WallFloorSeconds: 0.5, HeadlineEps: 1e-6}
+	return Thresholds{WallRatio: 1.5, WallFloorSeconds: 0.5}
 }
 
 func (t Thresholds) withDefaults() Thresholds {
@@ -52,9 +48,6 @@ func (t Thresholds) withDefaults() Thresholds {
 	}
 	if t.WallFloorSeconds <= 0 {
 		t.WallFloorSeconds = d.WallFloorSeconds
-	}
-	if t.HeadlineEps <= 0 {
-		t.HeadlineEps = d.HeadlineEps
 	}
 	return t
 }
@@ -93,15 +86,9 @@ func Compare(baseline, current *report.Report, th Thresholds) *Result {
 
 	headline := func(name string, b, c float64) {
 		f := Finding{Metric: name, Baseline: b, Current: c}
-		// Relative drift against the baseline magnitude; exact-zero
-		// baselines compare absolutely.
-		scale := math.Abs(b)
-		if scale == 0 {
-			scale = 1
-		}
-		if math.Abs(c-b)/scale > th.HeadlineEps {
+		if c != b {
 			f.Regressed = true
-			f.Detail = fmt.Sprintf("deterministic headline drifted beyond eps %g (re-bless if intended)", th.HeadlineEps)
+			f.Detail = "deterministic headline changed (re-bless if intended)"
 		}
 		res.Findings = append(res.Findings, f)
 	}

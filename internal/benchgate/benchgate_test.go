@@ -1,6 +1,7 @@
 package benchgate
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -62,13 +63,15 @@ func TestSectionP99Gated(t *testing.T) {
 	}
 }
 
+// TestHeadlineDriftCaughtBothDirections: the headlines are bit-identical
+// run to run, so even a one-ulp change is a behavior change.
 func TestHeadlineDriftCaughtBothDirections(t *testing.T) {
-	for _, delta := range []float64{+0.01, -0.01} {
+	for _, dir := range []float64{math.Inf(1), math.Inf(-1)} {
 		c := baseReport()
-		c.GPSMeanX += delta
+		c.GPSMeanX = math.Nextafter(c.GPSMeanX, dir)
 		regs := regressionsOf(t, baseReport(), c)
 		if len(regs) != 1 || regs[0].Metric != "gps_mean_x" {
-			t.Fatalf("delta %+.2f: want gps_mean_x drift, got %+v", delta, regs)
+			t.Fatalf("one ulp toward %v: want gps_mean_x drift, got %+v", dir, regs)
 		}
 	}
 }

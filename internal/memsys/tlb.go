@@ -52,17 +52,24 @@ func (t *TLB[T]) setOf(vpn VPN) []tlbEntry[T] {
 
 // Lookup probes the TLB. On a hit it refreshes the entry's recency and
 // returns the payload.
-func (t *TLB[T]) Lookup(vpn VPN) (T, bool) {
-	t.clock++
+func (t *TLB[T]) Lookup(vpn VPN) (T, bool) { return t.LookupN(vpn, 1) }
+
+// LookupN stands for n >= 1 back-to-back Lookups of vpn in one probe. With
+// true LRU on a global clock, the n Lookups touch only the one entry they
+// find (or none), so the state they leave is arithmetic: the clock advances
+// by n and the entry's recency is the last of them, with n hits counted,
+// or n misses when vpn is absent.
+func (t *TLB[T]) LookupN(vpn VPN, n uint64) (T, bool) {
+	t.clock += n
 	set := t.setOf(vpn)
 	for i := range set {
 		if set[i].valid && set[i].vpn == vpn {
 			set[i].lastUse = t.clock
-			t.hits++
+			t.hits += n
 			return set[i].payload, true
 		}
 	}
-	t.misses++
+	t.misses += n
 	var zero T
 	return zero, false
 }

@@ -160,3 +160,48 @@ func BenchmarkTLBLookup(b *testing.B) {
 		tlb.Lookup(VPN(i & 8191))
 	}
 }
+
+// TestTLBLookupNEquivalence: LookupN(v, n) leaves the hit and miss
+// counters, the clock and every way's (valid, vpn, lastUse) exactly as n
+// Lookup(v) calls do, on hits and misses alike, across set/way geometries
+// (including a non-power-of-two set count), with fills and shootdowns
+// interleaved.
+func TestTLBLookupNEquivalence(t *testing.T) {
+	for _, g := range []struct{ entries, ways int }{{4, 4}, {8, 2}, {12, 4}, {32, 1}, {64, 8}} {
+		rng := rand.New(rand.NewSource(int64(g.entries*100 + g.ways)))
+		one, many := NewTLB[int](g.entries, g.ways), NewTLB[int](g.entries, g.ways)
+		for step := 0; step < 5000; step++ {
+			v := VPN(rng.Intn(3 * g.entries))
+			switch rng.Intn(5) {
+			case 0:
+				one.Fill(v, int(v))
+				many.Fill(v, int(v))
+			case 1:
+				one.Invalidate(v)
+				many.Invalidate(v)
+			default:
+				n := 1 + rng.Intn(8)
+				var want int
+				var wantOK bool
+				for i := 0; i < n; i++ {
+					want, wantOK = one.Lookup(v)
+				}
+				if got, ok := many.LookupN(v, uint64(n)); got != want || ok != wantOK {
+					t.Fatalf("%d/%d step %d: LookupN(%d, %d) = (%d, %v), want (%d, %v)",
+						g.entries, g.ways, step, v, n, got, ok, want, wantOK)
+				}
+			}
+			if one.hits != many.hits || one.misses != many.misses || one.clock != many.clock {
+				t.Fatalf("%d/%d step %d: hits/misses/clock %d/%d/%d, want %d/%d/%d", g.entries, g.ways, step,
+					many.hits, many.misses, many.clock, one.hits, one.misses, one.clock)
+			}
+			for s := range one.sets {
+				for w, e := range one.sets[s] {
+					if f := many.sets[s][w]; f.valid != e.valid || f.vpn != e.vpn || f.lastUse != e.lastUse {
+						t.Fatalf("%d/%d step %d: set %d way %d = %+v, want %+v", g.entries, g.ways, step, s, w, f, e)
+					}
+				}
+			}
+		}
+	}
+}

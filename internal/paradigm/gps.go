@@ -155,8 +155,10 @@ func sharedSpan(regions []trace.Region) (lo, hi uint64) {
 	return lo, hi
 }
 
-// translate consults gpu's conventional TLB, walking the page table on a
-// miss and feeding the access tracking unit for GPS pages while profiling.
+// translate resolves one line of vpn in gpu's conventional TLB, walking the
+// page table on a miss and feeding the access tracking unit for GPS pages
+// while profiling. Access calls it for the first line of each page piece
+// only: the piece's other lines probe the entry it found or filled.
 func (m *gpsModel) translate(gpu int, vpn uint64) memsys.PTE {
 	v := memsys.VPN(vpn)
 	if pte, ok := m.convTLB[gpu].Lookup(v); ok {
@@ -182,6 +184,15 @@ func (m *gpsModel) isManual(vpn uint64) bool {
 	return p != nil && p.manual
 }
 
+// Access walks each span by page piece: it translates the piece's first
+// line, charges the piece's bytes at once wherever every line takes the same
+// decision, and keeps only the GPS-page work per line (write-queue
+// forwarding and pushes). A line that remaps the page (a sys-scoped
+// collapse, an unsubscribed-by-default subscription) shoots down the TLB
+// entry, so it ends its piece and the rest is translated again; such a line
+// always starts its piece. The k-1 lines after the first then hit (or, for
+// lines outside every allocation, miss) exactly as k-1 Lookups would, which
+// LookupN counts in one probe.
 func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	wq := m.wq[gpu]
@@ -192,75 +203,97 @@ func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 			}
 			continue
 		}
-		// Per line: TLB hit statistics and write-queue coalescing are
-		// line-granular.
-		for i := uint32(0); i < s.N; i++ {
-			line := s.Line + uint64(i)*lineBytes
+		for line, n := s.Line, s.N; n > 0; {
+			k, _ := m.piece(line, n)
 			vpn := m.vpn(line)
 			pte := m.translate(gpu, vpn)
-			switch s.Op {
-			case trace.OpLoad:
+			bytes := uint64(k) * lineBytes
+			switch {
+			case s.Op == trace.OpLoad && pte.Owner == gpu:
+				prof.LocalBytes += bytes
+			case s.Op == trace.OpLoad && !pte.GPS:
+				prof.RemoteRead[pte.Owner] += bytes
+				prof.RemoteReadLines += uint64(k)
+			case s.Op == trace.OpLoad:
+				k = m.loadRemoteGPS(gpu, pte, line, k)
+			case !pte.GPS:
+				// Conventional page: local or plain remote store.
 				if pte.Owner == gpu {
-					prof.LocalBytes += lineBytes
-					continue
+					prof.LocalBytes += bytes
+				} else {
+					prof.Push[pte.Owner] += bytes
 				}
-				if pte.GPS && wq.Contains(memsys.VAddr(line)) {
-					// The pending block in the local write queue forwards its
-					// value (Section 5.1): no interconnect crossing.
-					m.forwarded++
-					prof.LocalBytes += lineBytes
-					continue
-				}
-				if m.mode == gpsUnsubscribedByDefault && m.profiling && pte.GPS && !m.isManual(vpn) {
-					// Unsubscribed-by-default profiling: the first read
-					// subscribes this GPU, populating a local replica from an
-					// existing subscriber — a whole-page stall, the cost the
-					// paper cites for rejecting this mode.
-					if err := m.mgr.Subscribe(gpu, m.geom.PageBase(memsys.VAddr(line)), m.geom.PageBytes); err == nil {
-						prof.RemoteRead[pte.Owner] += m.geom.PageBytes
-						prof.Faults++
-						prof.LocalBytes += lineBytes
-						continue
+			case s.Scope == trace.ScopeSys:
+				// Sys-scoped store to a GPS page: collapse to a single copy
+				// (Section 5.3). The attempt ends the piece after its line: a
+				// collapse remaps the page, and a failed one is retried by the
+				// next line.
+				if f := m.flags.At(vpn); !f.collapsing {
+					if err := m.mgr.CollapseSysScoped(gpu, memsys.VPN(vpn)); err == nil {
+						prof.Shootdowns++
+						f.collapsing = true
 					}
+					k = 1
 				}
-				// Not a subscriber: the load issues remotely to one of the
-				// subscribers (Section 3.2) — a penalty, never a fault.
-				prof.RemoteRead[pte.Owner] += lineBytes
-				prof.RemoteReadLines++
-			case trace.OpStore, trace.OpAtomic:
-				if !pte.GPS {
-					// Conventional page: local or plain remote store.
-					if pte.Owner == gpu {
-						prof.LocalBytes += lineBytes
-					} else {
-						prof.Push[pte.Owner] += lineBytes
-					}
-					continue
-				}
-				if s.Scope == trace.ScopeSys {
-					// Sys-scoped store to a GPS page: collapse to a single copy
-					// (Section 5.3).
-					if f := m.flags.At(vpn); !f.collapsing {
-						if err := m.mgr.CollapseSysScoped(gpu, memsys.VPN(vpn)); err == nil {
-							prof.Shootdowns++
-							f.collapsing = true
-						}
-					}
-					prof.LocalBytes += lineBytes
-					continue
-				}
+				prof.LocalBytes += uint64(k) * lineBytes
+			default:
 				if pte.Owner == gpu {
 					// Local replica updated on the store path (W3 in Figure 7).
-					prof.LocalBytes += lineBytes
+					prof.LocalBytes += bytes
 				}
-				if s.Op == trace.OpAtomic {
-					wq.PushAtomic(memsys.VAddr(line))
-				} else {
-					wq.PushStore(memsys.VAddr(line))
+				for i := uint64(0); i < uint64(k); i++ {
+					if va := memsys.VAddr(line + i*lineBytes); s.Op == trace.OpAtomic {
+						wq.PushAtomic(va)
+					} else {
+						wq.PushStore(va)
+					}
 				}
 			}
+			if k > 1 {
+				m.convTLB[gpu].LookupN(memsys.VPN(vpn), uint64(k-1))
+			}
+			line, n = line+uint64(k)*lineBytes, n-k
 		}
 	}
+}
+
+// loadRemoteGPS serves loads of the first k lines of a piece of a GPS page
+// that gpu does not hold a replica of, and returns how many it served
+// before a subscription ended the piece.
+func (m *gpsModel) loadRemoteGPS(gpu int, pte memsys.PTE, line uint64, k uint32) uint32 {
+	prof := &m.profiles[gpu]
+	wq := m.wq[gpu]
+	subscribing := m.mode == gpsUnsubscribedByDefault && m.profiling && !m.isManual(m.vpn(line))
+	for i := uint32(0); i < k; i++ {
+		va := memsys.VAddr(line + uint64(i)*lineBytes)
+		if wq.Contains(va) {
+			// The pending block in the local write queue forwards its value
+			// (Section 5.1): no interconnect crossing.
+			m.forwarded++
+			prof.LocalBytes += lineBytes
+			continue
+		}
+		if subscribing {
+			if i > 0 {
+				return i // the subscribing line starts the next piece
+			}
+			// Unsubscribed-by-default profiling: the first read subscribes
+			// this GPU, populating a local replica from an existing
+			// subscriber — a whole-page stall, the cost the paper cites for
+			// rejecting this mode.
+			if err := m.mgr.Subscribe(gpu, m.geom.PageBase(va), m.geom.PageBytes); err == nil {
+				prof.RemoteRead[pte.Owner] += m.geom.PageBytes
+				prof.Faults++
+				prof.LocalBytes += lineBytes
+				return 1
+			}
+		}
+		// Not a subscriber: the load issues remotely to one of the
+		// subscribers (Section 3.2) — a penalty, never a fault.
+		prof.RemoteRead[pte.Owner] += lineBytes
+		prof.RemoteReadLines++
+	}
+	return k
 }
 
 func (m *gpsModel) EndPhase(index int) {

@@ -1,6 +1,7 @@
 package paradigm
 
 import (
+	"reflect"
 	"testing"
 
 	"gps/internal/engine"
@@ -133,5 +134,64 @@ func TestUnsubDefaultSubscriberDistributionMatches(t *testing.T) {
 	}
 	if h[3] != 0 || h[4] != 0 {
 		t.Fatalf("histogram = %v: first-read subscription over-subscribed", h)
+	}
+}
+
+// TestGPSPieceEndsMatchLines pins the cases where GPS replay ends a page
+// piece early or charges it line by line, against the same model fed
+// one-line spans: an unsubscribed-by-default subscription that follows
+// loads forwarded from the write queue in the same piece, sys-scoped
+// collapses, and lines outside every allocation.
+func TestGPSPieceEndsMatchLines(t *testing.T) {
+	base := uint64(1) << 33
+	// sweep is a run of two-line stores or loads that the engine presents
+	// as one span of lines lines.
+	sweep := func(op trace.Op, scope trace.Scope, addr uint64, lines int) []trace.Access {
+		var out []trace.Access
+		for i := 0; i < lines; i += 2 {
+			out = append(out, trace.Access{Op: op, Scope: scope, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 8, Addr: addr + uint64(i)*lineBytes})
+		}
+		return out
+	}
+	kernel := func(gpu int) trace.Kernel {
+		var accs []trace.Access
+		for _, a := range [][]trace.Access{
+			sweep(trace.OpStore, trace.ScopeWeak, base, 2),        // queued: the next load forwards 2 lines
+			sweep(trace.OpLoad, trace.ScopeWeak, base, 8),         // then its third line subscribes
+			sweep(trace.OpStore, trace.ScopeSys, base+64<<10, 8),  // the first line collapses the page
+			sweep(trace.OpStore, trace.ScopeSys, base+64<<10, 8),  // already collapsed
+			sweep(trace.OpLoad, trace.ScopeWeak, base+128<<10, 8), // remote GPS page, nothing queued
+			sweep(trace.OpLoad, trace.ScopeWeak, 5<<33, 8),        // outside every allocation
+		} {
+			accs = append(accs, a...)
+		}
+		return trace.Kernel{GPU: gpu, ComputeOps: 1000, Col: trace.EncodeColumns(accs)}
+	}
+	prog := &trace.Recorded{M: trace.Meta{
+		Name: "pieces", NumGPUs: 2, ProfilePhases: 1,
+		Regions: []trace.Region{{Name: "s", Kind: trace.RegionShared, Base: base, Size: 1 << 20}},
+	}}
+	for p := 0; p < 2; p++ {
+		prog.Ph = append(prog.Ph, trace.Phase{Index: p, Kernels: []trace.Kernel{kernel(1), kernel(0)}})
+	}
+	for _, kind := range []Kind{KindGPS, KindGPSNoSub, KindGPSUnsubDefault} {
+		spans, err := New(kind, prog, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, err := New(kind, prog, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := engine.RunFused(prog, []engine.Model{spans, &lineSplitter{Model: lines}}, nil)
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("%s: span replay differs from one-line spans\nspans: %+v\nlines: %+v", kind, res[0], res[1])
+		}
+		if kind == KindGPSUnsubDefault {
+			if p := res[0].Phases[0].Profiles[1]; res[0].ForwardedLoads < 2 || p.Faults == 0 || p.Shootdowns == 0 {
+				t.Errorf("%s: forwarded %d, GPU 1 faults %d, shootdowns %d: want forwarding, a subscription and a collapse",
+					kind, res[0].ForwardedLoads, p.Faults, p.Shootdowns)
+			}
+		}
 	}
 }

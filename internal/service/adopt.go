@@ -114,6 +114,8 @@ func (s *Server) Adopt(origin, id string, spec Spec, trace obs.TraceInfo) (Adopt
 	// remaining safety net.
 	if jerr := s.cfg.Journal.record(OpSubmit, id, &job.Spec, &job.Trace, ""); jerr != nil {
 		s.logger.Warn("adopted job not journaled", "job_id", id, "err", jerr)
+	} else {
+		job.journaled = true
 	}
 	select {
 	case s.queue <- job:

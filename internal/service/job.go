@@ -56,6 +56,7 @@ type Job struct {
 	attempts   atomic.Uint64           // execution attempts, bumped by the retry loop
 	cancel     context.CancelCauseFunc // non-nil once running locally (nil while stolen)
 	stealTimer *time.Timer             // reclaim watchdog while stolen; guarded by the server mutex
+	journaled  bool                    // a submit record exists, so the end gets a terminal record
 	done       chan struct{}           // closed on reaching a terminal state
 }
 

@@ -429,6 +429,7 @@ func (s *Server) replayPending(pending []PendingJob) {
 			State:       StateQueued,
 			Replayed:    true,
 			SubmittedAt: now,
+			journaled:   true, // compaction rewrote its submit record
 			done:        make(chan struct{}),
 		}
 		if job.Trace.TraceID == "" {
@@ -552,6 +553,7 @@ func (s *Server) SubmitTraced(spec Spec, parent obs.TraceContext) (Status, Outco
 		s.rejected.Inc()
 		return Status{}, OutcomeAccepted, jerr
 	}
+	job.journaled = true
 	s.submitted.Inc()
 	s.cacheMisses.Inc()
 	s.logger.Info("job accepted", "job_id", job.ID, "hash", hash, "queue_depth", len(s.queue))
@@ -874,9 +876,10 @@ var terminalOps = map[State]string{StateDone: OpDone, StateFailed: OpFail, State
 // adopted rider, and the worker's panic fence. It stops the steal
 // watchdog, releases the single-flight slot the job leads, records the
 // outcome, counts it, journals it, wakes the waiters and retires the job.
-// Born-done cache hits were never journaled, so they get no terminal
-// record. A job that is already terminal only has its waiters woken, which
-// lets the panic fence call this unconditionally.
+// Only a job with a submit record gets a terminal record: born-done cache
+// hits and adopted riders never had one, and replay would drop theirs as
+// unknown IDs. A job that is already terminal only has its waiters woken,
+// which lets the panic fence call this unconditionally.
 func (s *Server) finishLocked(job *Job, state State, errMsg string, res *report.Report, now time.Time) {
 	if !job.State.Terminal() {
 		s.stopStealTimerLocked(job)
@@ -885,7 +888,7 @@ func (s *Server) finishLocked(job *Job, state State, errMsg string, res *report.
 		}
 		job.State, job.Err, job.Result, job.FinishedAt = state, errMsg, res, now
 		s.ended[state].Inc()
-		if !job.CacheHit {
+		if job.journaled {
 			s.cfg.Journal.record(terminalOps[state], job.ID, nil, nil, errMsg) //nolint:errcheck // terminal close-out; a lost record only replays the job
 		}
 		s.retireLocked(job)

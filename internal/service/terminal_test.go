@@ -21,7 +21,8 @@ import (
 // failure, both reclaim failures, the adoption cache hit and an adopted
 // rider — and checks the bookkeeping they share: done closes exactly once
 // (a second close would panic), every journaled job has exactly one
-// terminal record and born-cached jobs have none, the done/failed/canceled
+// terminal record and born-cached jobs have none, no terminal record lacks
+// a submit record (an adopted rider has neither), the done/failed/canceled
 // counters sum to the retired jobs and to the end-to-end histogram's count,
 // and only executions and stolen completions observe the execution
 // histogram.
@@ -192,6 +193,9 @@ func TestTerminalAccounting(t *testing.T) {
 	for id, n := range terminal {
 		if n > 1 {
 			t.Errorf("job %s has %d terminal records", id, n)
+		}
+		if !submitted[id] {
+			t.Errorf("job %s has a terminal record but no submit record", id)
 		}
 	}
 }
