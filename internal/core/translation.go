@@ -4,24 +4,15 @@ import (
 	"gps/internal/memsys"
 )
 
-// Packet is one cache block worth of replicated store traffic headed to a
-// remote subscriber over the interconnect.
-type Packet struct {
-	SrcGPU int
-	DstGPU int
-	LineVA memsys.VAddr
-	DstPPN memsys.PPN
-	Atomic bool
-}
-
-// TranslationStats counts GPS address translation unit activity.
+// TranslationStats counts GPS address translation unit activity. Every
+// drained line counts once, whether it was translated alone or in a run.
 type TranslationStats struct {
 	Lookups    uint64
 	TLBHits    uint64
 	TLBMisses  uint64
 	WalkVisits uint64 // page-table node visits performed by misses
-	Packets    uint64 // replicated packets emitted
-	Unmapped   uint64 // drained blocks whose page is no longer GPS (raced collapse)
+	Packets    uint64 // replicated line packets sent to remote subscribers
+	Unmapped   uint64 // drained lines whose page is no longer GPS (raced collapse)
 }
 
 // HitRate returns the GPS-TLB hit rate (the §7.4 GPS-TLB metric).
@@ -34,81 +25,66 @@ func (s TranslationStats) HitRate() float64 {
 
 // TranslationUnit is the per-GPU GPS address translation unit (Section 5.2):
 // drained write-queue blocks look up the wide GPS-PTE in a small GPS-TLB,
-// falling back to a hardware walk of the shared GPS page table, then fan out
-// one packet per remote subscriber.
+// falling back to a hardware walk of the shared GPS page table, and fan out
+// to every remote subscriber.
 type TranslationUnit struct {
 	gpu   int
-	geom  memsys.Geometry
 	tlb   *memsys.TLB[*memsys.GPSPTE]
 	table *memsys.GPSPageTable
-	emit  func(Packet)
 	stats TranslationStats
 }
 
-// NewTranslationUnit builds the unit. emit receives one packet per remote
-// subscriber per drained block.
-func NewTranslationUnit(gpu int, geom memsys.Geometry, tlbEntries, tlbWays int,
-	table *memsys.GPSPageTable, emit func(Packet)) *TranslationUnit {
-	if emit == nil {
-		panic("core: translation unit needs an emit sink")
-	}
+// NewTranslationUnit builds gpu's unit over the shared GPS page table.
+func NewTranslationUnit(gpu, tlbEntries, tlbWays int, table *memsys.GPSPageTable) *TranslationUnit {
 	return &TranslationUnit{
 		gpu:   gpu,
-		geom:  geom,
 		tlb:   memsys.NewTLB[*memsys.GPSPTE](tlbEntries, tlbWays),
 		table: table,
-		emit:  emit,
 	}
 }
 
 // Stats returns a snapshot of the unit's counters.
 func (u *TranslationUnit) Stats() TranslationStats { return u.stats }
 
-// ResetStats zeroes the counters.
-func (u *TranslationUnit) ResetStats() { u.stats = TranslationStats{} }
-
 // InvalidateTLB removes a page's cached wide PTE, e.g. after unsubscription
 // or collapse rewrites the GPS page table.
 func (u *TranslationUnit) InvalidateTLB(vpn memsys.VPN) { u.tlb.Invalidate(vpn) }
 
-// FlushTLB empties the GPS-TLB.
-func (u *TranslationUnit) FlushTLB() { u.tlb.Flush() }
-
-// Process translates one drained block and emits packets to every remote
-// subscriber. The source GPU's own replica was already updated on the store
-// path (W3 in Figure 7), so it is excluded here.
-func (u *TranslationUnit) Process(d Drained) {
-	u.stats.Lookups++
-	vpn := u.geom.VPNOf(d.LineVA)
+// Process translates a run of n >= 1 drained lines of page vpn, back to
+// back, and returns the remote subscribers every line goes to. The source
+// GPU's own replica was already updated on the store path (W3 in Figure 7),
+// so it is not in the set. The run costs one lookup or walk: the first line
+// finds or fills the GPS-TLB entry and the other n-1 hit it, which
+// TLB.LookupN charges exactly under true LRU. A page that is no longer GPS
+// (collapsed or unsubscribed while the lines sat in the queue) is never
+// filled, so each line misses and walks, and nothing is replicated. The
+// page table must not change between the lines of one run.
+func (u *TranslationUnit) Process(vpn memsys.VPN, n uint64) memsys.SubscriberSet {
+	u.stats.Lookups += n
 	pte, hit := u.tlb.Lookup(vpn)
 	if hit {
 		u.stats.TLBHits++
 	} else {
-		u.stats.TLBMisses++
 		var visits int
 		pte, visits = u.table.Walk(vpn)
+		if pte == nil {
+			u.stats.TLBMisses += n
+			u.stats.WalkVisits += n * uint64(visits)
+			u.stats.Unmapped += n
+			if n > 1 {
+				u.tlb.LookupN(vpn, n-1)
+			}
+			return 0
+		}
+		u.stats.TLBMisses++
 		u.stats.WalkVisits += uint64(visits)
-		if pte != nil {
-			u.tlb.Fill(vpn, pte)
-		}
+		u.tlb.Fill(vpn, pte)
 	}
-	if pte == nil {
-		// The page was collapsed or unsubscribed while the block sat in the
-		// queue; there is nothing to replicate.
-		u.stats.Unmapped++
-		return
+	if n > 1 {
+		u.tlb.LookupN(vpn, n-1)
+		u.stats.TLBHits += n - 1
 	}
-	pte.Subscribers.ForEach(func(dst int) {
-		if dst == u.gpu {
-			return
-		}
-		u.stats.Packets++
-		u.emit(Packet{
-			SrcGPU: u.gpu,
-			DstGPU: dst,
-			LineVA: d.LineVA,
-			DstPPN: pte.ReplicaOn(dst),
-			Atomic: d.Atomic,
-		})
-	})
+	remote := pte.Subscribers.Remove(u.gpu)
+	u.stats.Packets += n * uint64(remote.Count())
+	return remote
 }

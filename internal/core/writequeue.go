@@ -12,34 +12,6 @@ import (
 	"gps/internal/memsys"
 )
 
-// DrainReason records why an entry left the write queue, for statistics and
-// the timing model (watermark drains overlap compute; flush drains gate
-// synchronization).
-type DrainReason uint8
-
-// Drain reasons.
-const (
-	// DrainWatermark: occupancy reached the high watermark and the least
-	// recently added entry was pushed out to make room.
-	DrainWatermark DrainReason = iota
-	// DrainFlush: a sys-scoped synchronization (fence or implicit grid-end
-	// release) forced the whole queue out.
-	DrainFlush
-	// DrainPassThrough: the operation is not coalescable (an atomic) and
-	// moved straight through the queue.
-	DrainPassThrough
-)
-
-// Drained is one cache block leaving the write queue toward the GPS address
-// translation unit.
-type Drained struct {
-	LineVA memsys.VAddr // line-aligned virtual address
-	Writes int          // stores merged into this block while queued
-	Reason DrainReason
-	SrcGPU int
-	Atomic bool
-}
-
 // WriteQueueStats counts queue activity.
 type WriteQueueStats struct {
 	Stores     uint64 // total coalescable stores offered
@@ -71,36 +43,28 @@ func (s WriteQueueStats) HitRate() float64 {
 //
 // Resident blocks live in a circular ring in insertion order (the live
 // window is [head, tail)), reached through an open-addressed index from
-// line address to ring slot. The queue drains strictly FIFO, so a ring slot
-// is only reused after its entry has left the index — PushStore, Contains
+// resident line addresses. The queue drains strictly FIFO, so a ring slot
+// is only reused after its line has left the index — PushStore, Contains
 // and drainOldest all run without map machinery or per-block allocation,
 // which matters because every weak store in a GPS replay passes through
 // here.
 type WriteQueue struct {
-	gpu       int
 	geom      memsys.Geometry
-	capacity  int
 	watermark int
 
-	ring     []wqEntry
+	ring     []memsys.VAddr // resident line addresses
 	ringMask uint32
 	head     uint32 // free-running; slot = pos & ringMask
 	tail     uint32
 
 	idxKeys  []memsys.VAddr
-	idxSlots []uint32
 	idxState []uint8 // idxEmpty / idxTombstone / idxFull
 	idxMask  uint32
 	idxLive  int
 	idxDead  int
 
-	drain func(Drained)
+	drain func(line memsys.VAddr)
 	stats WriteQueueStats
-}
-
-type wqEntry struct {
-	lineVA memsys.VAddr
-	writes int
 }
 
 const (
@@ -117,9 +81,10 @@ func nextPow2(n int) int {
 	return p
 }
 
-// NewWriteQueue builds a write queue for one GPU. drain receives every block
-// leaving the queue, in order; it must not re-enter the queue.
-func NewWriteQueue(gpu int, geom memsys.Geometry, capacity, watermark int, drain func(Drained)) *WriteQueue {
+// NewWriteQueue builds one GPU's write queue. drain receives the
+// line-aligned address of every block leaving the queue toward the GPS
+// address translation unit, in order; it must not re-enter the queue.
+func NewWriteQueue(geom memsys.Geometry, capacity, watermark int, drain func(line memsys.VAddr)) *WriteQueue {
 	if capacity <= 0 {
 		panic("core: write queue capacity must be positive")
 	}
@@ -132,14 +97,11 @@ func NewWriteQueue(gpu int, geom memsys.Geometry, capacity, watermark int, drain
 	ringSize := nextPow2(capacity)
 	idxSize := nextPow2(4 * capacity) // load factor stays under 25% live
 	return &WriteQueue{
-		gpu:       gpu,
 		geom:      geom,
-		capacity:  capacity,
 		watermark: watermark,
-		ring:      make([]wqEntry, ringSize),
+		ring:      make([]memsys.VAddr, ringSize),
 		ringMask:  uint32(ringSize - 1),
 		idxKeys:   make([]memsys.VAddr, idxSize),
-		idxSlots:  make([]uint32, idxSize),
 		idxState:  make([]uint8, idxSize),
 		idxMask:   uint32(idxSize - 1),
 		drain:     drain,
@@ -155,22 +117,22 @@ func (q *WriteQueue) idxHash(line memsys.VAddr) uint32 {
 	return uint32(uint64(line)*0x9E3779B97F4A7C15>>32) & q.idxMask
 }
 
-// idxFind returns the ring slot holding line, if resident.
-func (q *WriteQueue) idxFind(line memsys.VAddr) (uint32, bool) {
+// idxFind reports whether line is resident.
+func (q *WriteQueue) idxFind(line memsys.VAddr) bool {
 	for i := q.idxHash(line); ; i = (i + 1) & q.idxMask {
 		switch q.idxState[i] {
 		case idxEmpty:
-			return 0, false
+			return false
 		case idxFull:
 			if q.idxKeys[i] == line {
-				return q.idxSlots[i], true
+				return true
 			}
 		}
 	}
 }
 
-// idxInsert records line -> slot. The caller guarantees line is absent.
-func (q *WriteQueue) idxInsert(line memsys.VAddr, slot uint32) {
+// idxInsert records line. The caller guarantees line is absent.
+func (q *WriteQueue) idxInsert(line memsys.VAddr) {
 	if 2*(q.idxLive+q.idxDead) >= len(q.idxState) {
 		q.idxRehash()
 	}
@@ -181,7 +143,6 @@ func (q *WriteQueue) idxInsert(line memsys.VAddr, slot uint32) {
 			}
 			q.idxState[i] = idxFull
 			q.idxKeys[i] = line
-			q.idxSlots[i] = slot
 			q.idxLive++
 			return
 		}
@@ -205,13 +166,11 @@ func (q *WriteQueue) idxRehash() {
 	clear(q.idxState)
 	q.idxLive, q.idxDead = 0, 0
 	for pos := q.head; pos != q.tail; pos++ {
-		slot := pos & q.ringMask
-		line := q.ring[slot].lineVA
+		line := q.ring[pos&q.ringMask]
 		for i := q.idxHash(line); ; i = (i + 1) & q.idxMask {
 			if q.idxState[i] != idxFull {
 				q.idxState[i] = idxFull
 				q.idxKeys[i] = line
-				q.idxSlots[i] = slot
 				q.idxLive++
 				break
 			}
@@ -224,15 +183,11 @@ func (q *WriteQueue) idxRehash() {
 // value from the remote write queue instead of issuing remotely
 // (Section 5.1).
 func (q *WriteQueue) Contains(va memsys.VAddr) bool {
-	_, ok := q.idxFind(q.geom.LineBase(va))
-	return ok
+	return q.idxFind(q.geom.LineBase(va))
 }
 
 // Stats returns a snapshot of the queue's counters.
 func (q *WriteQueue) Stats() WriteQueueStats { return q.stats }
-
-// ResetStats zeroes the counters without disturbing queue contents.
-func (q *WriteQueue) ResetStats() { q.stats = WriteQueueStats{} }
 
 // PushStore offers a weak (non-sys-scoped, non-atomic) store to the queue
 // and reports whether it coalesced into a resident block. Reaching the high
@@ -240,21 +195,20 @@ func (q *WriteQueue) ResetStats() { q.stats = WriteQueueStats{} }
 func (q *WriteQueue) PushStore(va memsys.VAddr) (coalesced bool) {
 	line := q.geom.LineBase(va)
 	q.stats.Stores++
-	if slot, ok := q.idxFind(line); ok {
-		q.ring[slot].writes++
+	if q.idxFind(line) {
 		q.stats.Hits++
 		return true
 	}
 	q.stats.Misses++
-	slot := q.tail & q.ringMask
-	q.ring[slot] = wqEntry{lineVA: line, writes: 1}
+	q.ring[q.tail&q.ringMask] = line
 	// Index before advancing tail: a rehash inside idxInsert re-indexes the
 	// live window [head, tail), and the new entry must not be in it yet or
 	// it would be indexed twice.
-	q.idxInsert(line, slot)
+	q.idxInsert(line)
 	q.tail++
 	if q.Len() >= q.watermark {
-		q.drainOldest(DrainWatermark)
+		q.stats.Drains++
+		q.drainOldest()
 	}
 	return false
 }
@@ -264,13 +218,7 @@ func (q *WriteQueue) PushStore(va memsys.VAddr) (coalesced bool) {
 // to the drain sink.
 func (q *WriteQueue) PushAtomic(va memsys.VAddr) {
 	q.stats.Atomics++
-	q.drain(Drained{
-		LineVA: q.geom.LineBase(va),
-		Writes: 1,
-		Reason: DrainPassThrough,
-		SrcGPU: q.gpu,
-		Atomic: true,
-	})
+	q.drain(q.geom.LineBase(va))
 }
 
 // Flush drains every resident block in insertion order. It models the
@@ -278,23 +226,18 @@ func (q *WriteQueue) PushAtomic(va memsys.VAddr) {
 // implicit release at the end of every grid (Section 3.3).
 func (q *WriteQueue) Flush() {
 	q.stats.FlushCalls++
+	q.stats.Flushes += uint64(q.Len())
 	for q.tail != q.head {
-		q.drainOldest(DrainFlush)
+		q.drainOldest()
 	}
 }
 
-func (q *WriteQueue) drainOldest(reason DrainReason) {
+func (q *WriteQueue) drainOldest() {
 	if q.tail == q.head {
 		panic("core: drainOldest on empty queue")
 	}
-	e := q.ring[q.head&q.ringMask]
+	line := q.ring[q.head&q.ringMask]
 	q.head++
-	q.idxDelete(e.lineVA)
-	switch reason {
-	case DrainWatermark:
-		q.stats.Drains++
-	case DrainFlush:
-		q.stats.Flushes++
-	}
-	q.drain(Drained{LineVA: e.lineVA, Writes: e.writes, Reason: reason, SrcGPU: q.gpu})
+	q.idxDelete(line)
+	q.drain(line)
 }

@@ -11,13 +11,13 @@ func testGeom() memsys.Geometry {
 	return memsys.MustGeometry(64<<10, 128, 49, 47)
 }
 
-func collectDrains(drained *[]Drained) func(Drained) {
-	return func(d Drained) { *drained = append(*drained, d) }
+func collectDrains(drained *[]memsys.VAddr) func(memsys.VAddr) {
+	return func(line memsys.VAddr) { *drained = append(*drained, line) }
 }
 
 func TestWriteQueueCoalescesSameLine(t *testing.T) {
-	var drained []Drained
-	q := NewWriteQueue(0, testGeom(), 8, 7, collectDrains(&drained))
+	var drained []memsys.VAddr
+	q := NewWriteQueue(testGeom(), 8, 7, collectDrains(&drained))
 	if q.PushStore(0) {
 		t.Fatal("first store should miss")
 	}
@@ -47,8 +47,8 @@ func TestWriteQueueCoalescesSameLine(t *testing.T) {
 
 func TestWriteQueueNonConsecutiveCoalescing(t *testing.T) {
 	// Section 3.3: "Stores need not be consecutive to be coalesced".
-	var drained []Drained
-	q := NewWriteQueue(0, testGeom(), 8, 7, collectDrains(&drained))
+	var drained []memsys.VAddr
+	q := NewWriteQueue(testGeom(), 8, 7, collectDrains(&drained))
 	q.PushStore(0)        // line 0
 	q.PushStore(512)      // line 4
 	if !q.PushStore(64) { // back to line 0
@@ -57,18 +57,17 @@ func TestWriteQueueNonConsecutiveCoalescing(t *testing.T) {
 }
 
 func TestWriteQueueWatermarkDrainsOldest(t *testing.T) {
-	var drained []Drained
+	var drained []memsys.VAddr
 	// Capacity 512, watermark 511 in the paper; scaled here: cap 4, mark 3.
-	q := NewWriteQueue(2, testGeom(), 4, 3, collectDrains(&drained))
+	q := NewWriteQueue(testGeom(), 4, 3, collectDrains(&drained))
 	q.PushStore(0 * 128)
 	q.PushStore(1 * 128)
 	q.PushStore(2 * 128) // occupancy hits 3 == watermark: drain LRA (line 0)
-	if len(drained) != 1 {
-		t.Fatalf("drains = %d, want 1", len(drained))
+	if len(drained) != 1 || drained[0] != 0 {
+		t.Fatalf("drained %v, want [0]", drained)
 	}
-	d := drained[0]
-	if d.LineVA != 0 || d.Reason != DrainWatermark || d.SrcGPU != 2 {
-		t.Fatalf("drained %+v", d)
+	if s := q.Stats(); s.Drains != 1 || s.Flushes != 0 {
+		t.Fatalf("drains/flushes = %d/%d, want 1/0", s.Drains, s.Flushes)
 	}
 	if q.Len() != 2 {
 		t.Fatalf("Len after drain = %d, want 2", q.Len())
@@ -76,21 +75,24 @@ func TestWriteQueueWatermarkDrainsOldest(t *testing.T) {
 }
 
 func TestWriteQueueDrainCarriesMergedWrites(t *testing.T) {
-	var drained []Drained
-	q := NewWriteQueue(0, testGeom(), 4, 3, collectDrains(&drained))
+	var drained []memsys.VAddr
+	q := NewWriteQueue(testGeom(), 4, 3, collectDrains(&drained))
 	q.PushStore(0)
 	q.PushStore(8)
 	q.PushStore(16)
 	q.PushStore(128)
-	q.PushStore(256) // drains line 0 with 3 merged writes
-	if len(drained) != 1 || drained[0].Writes != 3 {
-		t.Fatalf("drained = %+v, want 3 writes in line 0", drained)
+	q.PushStore(256) // drains line 0 once, carrying its 3 merged writes
+	if len(drained) != 1 || drained[0] != 0 {
+		t.Fatalf("drained = %v, want line 0 once", drained)
+	}
+	if s := q.Stats(); s.Stores != 5 || s.Hits != 2 || s.Misses != 3 {
+		t.Fatalf("stores/hits/misses = %d/%d/%d, want 5/2/3", s.Stores, s.Hits, s.Misses)
 	}
 }
 
 func TestWriteQueueFlushDrainsAllInOrder(t *testing.T) {
-	var drained []Drained
-	q := NewWriteQueue(0, testGeom(), 16, 15, collectDrains(&drained))
+	var drained []memsys.VAddr
+	q := NewWriteQueue(testGeom(), 16, 15, collectDrains(&drained))
 	for i := 0; i < 5; i++ {
 		q.PushStore(memsys.VAddr(i * 128))
 	}
@@ -101,13 +103,13 @@ func TestWriteQueueFlushDrainsAllInOrder(t *testing.T) {
 	if len(drained) != 5 {
 		t.Fatalf("flush drained %d, want 5", len(drained))
 	}
-	for i, d := range drained {
-		if d.LineVA != memsys.VAddr(i*128) {
-			t.Fatalf("flush order wrong at %d: %+v", i, d)
+	for i, line := range drained {
+		if line != memsys.VAddr(i*128) {
+			t.Fatalf("flush order wrong at %d: %v", i, drained)
 		}
-		if d.Reason != DrainFlush {
-			t.Fatalf("reason = %v, want flush", d.Reason)
-		}
+	}
+	if s := q.Stats(); s.Flushes != 5 || s.Drains != 0 || s.FlushCalls != 1 {
+		t.Fatalf("flushes/drains/calls = %d/%d/%d, want 5/0/1", s.Flushes, s.Drains, s.FlushCalls)
 	}
 	// Queue stays usable after flush.
 	q.PushStore(0)
@@ -117,20 +119,18 @@ func TestWriteQueueFlushDrainsAllInOrder(t *testing.T) {
 }
 
 func TestWriteQueueAtomicsPassThrough(t *testing.T) {
-	var drained []Drained
-	q := NewWriteQueue(1, testGeom(), 8, 7, collectDrains(&drained))
-	q.PushAtomic(64)
-	q.PushAtomic(64) // same line: still no coalescing for atomics
+	var drained []memsys.VAddr
+	q := NewWriteQueue(testGeom(), 8, 7, collectDrains(&drained))
+	q.PushAtomic(192)
+	q.PushAtomic(192) // same line: still no coalescing for atomics
 	if q.Len() != 0 {
 		t.Fatal("atomics must not occupy the queue")
 	}
-	if len(drained) != 2 {
-		t.Fatalf("atomic drains = %d, want 2", len(drained))
+	if len(drained) != 2 || drained[0] != 128 || drained[1] != 128 {
+		t.Fatalf("atomic drains = %v, want line 128 twice", drained)
 	}
-	for _, d := range drained {
-		if !d.Atomic || d.Reason != DrainPassThrough {
-			t.Fatalf("atomic drain = %+v", d)
-		}
+	if s := q.Stats(); s.Atomics != 2 || s.Drains != 0 || s.Flushes != 0 {
+		t.Fatalf("atomics/drains/flushes = %d/%d/%d, want 2/0/0", s.Atomics, s.Drains, s.Flushes)
 	}
 	if q.Stats().HitRate() != 0 {
 		t.Fatal("atomic-only stream must have 0%% hit rate (Section 7.4)")
@@ -138,8 +138,8 @@ func TestWriteQueueAtomicsPassThrough(t *testing.T) {
 }
 
 func TestWriteQueueHitRateIncludesAtomicsInDenominator(t *testing.T) {
-	var drained []Drained
-	q := NewWriteQueue(0, testGeom(), 8, 7, collectDrains(&drained))
+	var drained []memsys.VAddr
+	q := NewWriteQueue(testGeom(), 8, 7, collectDrains(&drained))
 	q.PushStore(0)
 	q.PushStore(4) // hit
 	q.PushAtomic(128)
@@ -153,8 +153,8 @@ func TestWriteQueueHitRateIncludesAtomicsInDenominator(t *testing.T) {
 func TestWriteQueueStreamingHasZeroHitRate(t *testing.T) {
 	// A pure streaming writer (each line touched once, like Jacobi after SM
 	// coalescing) must see 0% queue hit rate.
-	var drained []Drained
-	q := NewWriteQueue(0, testGeom(), 512, 511, collectDrains(&drained))
+	var drained []memsys.VAddr
+	q := NewWriteQueue(testGeom(), 512, 511, collectDrains(&drained))
 	for i := 0; i < 10000; i++ {
 		q.PushStore(memsys.VAddr(i * 128))
 	}
@@ -168,7 +168,7 @@ func TestWriteQueueTemporalLocalityCapturedByLargerQueue(t *testing.T) {
 	// than the gap captures the revisit; a smaller one does not. This is the
 	// mechanism behind Figure 14.
 	hitRate := func(capacity, gap int) float64 {
-		q := NewWriteQueue(0, testGeom(), capacity, capacity-1, func(Drained) {})
+		q := NewWriteQueue(testGeom(), capacity, capacity-1, func(memsys.VAddr) {})
 		for rep := 0; rep < 20; rep++ {
 			for i := 0; i < gap; i++ {
 				q.PushStore(memsys.VAddr(i * 128))
@@ -187,7 +187,7 @@ func TestWriteQueueTemporalLocalityCapturedByLargerQueue(t *testing.T) {
 }
 
 func TestWriteQueueOccupancyNeverExceedsWatermark(t *testing.T) {
-	q := NewWriteQueue(0, testGeom(), 512, 511, func(Drained) {})
+	q := NewWriteQueue(testGeom(), 512, 511, func(memsys.VAddr) {})
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 100000; i++ {
 		q.PushStore(memsys.VAddr(rng.Intn(100000) * 128))
@@ -198,12 +198,12 @@ func TestWriteQueueOccupancyNeverExceedsWatermark(t *testing.T) {
 }
 
 // Property: conservation — every store is eventually accounted as exactly
-// one of {hit, miss}, and every missed line either drains or is resident.
+// one of {hit, miss}, and every missed line drains exactly once.
 func TestWriteQueueConservationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
-		var drainedWrites int
-		q := NewWriteQueue(0, testGeom(), 32, 31, func(d Drained) { drainedWrites += d.Writes })
+		var drained int
+		q := NewWriteQueue(testGeom(), 32, 31, func(memsys.VAddr) { drained++ })
 		n := 1 + rng.Intn(5000)
 		for i := 0; i < n; i++ {
 			q.PushStore(memsys.VAddr(rng.Intn(200) * 128))
@@ -213,8 +213,9 @@ func TestWriteQueueConservationProperty(t *testing.T) {
 			t.Fatalf("hits+misses = %d, want %d", s.Hits+s.Misses, n)
 		}
 		q.Flush()
-		if drainedWrites != n {
-			t.Fatalf("drained writes = %d, want %d (no store lost or duplicated)", drainedWrites, n)
+		if uint64(drained) != s.Misses || s.Drains+q.Stats().Flushes != s.Misses {
+			t.Fatalf("drained %d lines (%d at the watermark, %d by flush), want %d misses (no block lost or duplicated)",
+				drained, s.Drains, q.Stats().Flushes, s.Misses)
 		}
 		if q.Len() != 0 {
 			t.Fatal("residue after flush")
@@ -224,10 +225,10 @@ func TestWriteQueueConservationProperty(t *testing.T) {
 
 func TestWriteQueueConstructorPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewWriteQueue(0, testGeom(), 0, 1, func(Drained) {}) },
-		func() { NewWriteQueue(0, testGeom(), 4, 0, func(Drained) {}) },
-		func() { NewWriteQueue(0, testGeom(), 4, 5, func(Drained) {}) },
-		func() { NewWriteQueue(0, testGeom(), 4, 3, nil) },
+		func() { NewWriteQueue(testGeom(), 0, 1, func(memsys.VAddr) {}) },
+		func() { NewWriteQueue(testGeom(), 4, 0, func(memsys.VAddr) {}) },
+		func() { NewWriteQueue(testGeom(), 4, 5, func(memsys.VAddr) {}) },
+		func() { NewWriteQueue(testGeom(), 4, 3, nil) },
 	} {
 		func() {
 			defer func() {
@@ -241,7 +242,7 @@ func TestWriteQueueConstructorPanics(t *testing.T) {
 }
 
 func BenchmarkWriteQueuePushStore(b *testing.B) {
-	q := NewWriteQueue(0, testGeom(), 512, 511, func(Drained) {})
+	q := NewWriteQueue(testGeom(), 512, 511, func(memsys.VAddr) {})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.PushStore(memsys.VAddr((i % 4096) * 128))

@@ -147,9 +147,16 @@ type Model interface {
 	// BeginPhase announces the next phase; profiles is the output vector
 	// (one per GPU) the model accumulates traffic into.
 	BeginPhase(index int, profiles []Profile)
+	// PageBytes is the page size the model decides at, or 0 for a model
+	// that needs no page pieces. The engine cuts every span at the page
+	// ends of the finest PageBytes of the models it replays together, and
+	// when none needs pieces, cuts none and resolves no regions.
+	PageBytes() uint64
 	// Access processes the next chunk of gpu's instruction stream, in
 	// order. The batch is shared with the other models of a fused replay
 	// and reused after the call returns: models read it and keep nothing.
+	// Its spans may be cut finer than the model's own pages, so a model
+	// must decide as it would for the same lines one at a time.
 	Access(gpu int, b *Batch)
 	// EndPhase is the global synchronization barrier ending the phase
 	// (implicit sys-scoped release of every grid).
@@ -159,8 +166,8 @@ type Model interface {
 }
 
 // Batch is one chunk of one GPU's instruction stream after coalescing: the
-// ordered spans of lines the chunk touches, one zero-line span per fence.
-// The replay loop reuses the slice between chunks.
+// ordered page pieces of lines the chunk touches, one zero-line span per
+// fence. The replay loop reuses the slice between chunks.
 type Batch struct {
 	Spans []Span
 }
@@ -190,19 +197,26 @@ func RunObserved(prog trace.Program, m Model, po PhaseObserver) *Result {
 	return RunFused(prog, []Model{m}, po)[0]
 }
 
-// RunFused replays prog once for all of models: every chunk is decoded and
-// coalesced once, and the batch goes to each model in turn. Models share
-// nothing but the read-only batch, so results[i] equals Run(prog,
-// models[i]); the trace front end (block decode, coalescing) is paid once
+// RunFused replays prog once for all of models: every chunk is decoded,
+// coalesced and cut into page pieces once, at the finest page size of the
+// models, and the batch goes to each model in turn. Models share nothing
+// but the read-only batch, so results[i] equals Run(prog, models[i]); the
+// trace front end (block decode, coalescing, piece split) is paid once
 // instead of once per model.
 func RunFused(prog trace.Program, models []Model, po PhaseObserver) []*Result {
 	meta := prog.Meta()
 	n := meta.NumGPUs
 	results := make([]*Result, len(models))
+	// With no model needing pieces, an empty region table and the 8 GB
+	// region slot as the page cut spans only at region slots.
+	pageBytes, regions := uint64(1)<<regionSlotShift, []trace.Region(nil)
 	for i, m := range models {
 		results[i] = &Result{Meta: meta, Paradigm: m.Name()}
+		if p := m.PageBytes(); p != 0 {
+			pageBytes, regions = min(pageBytes, p), meta.Regions
+		}
 	}
-	exp := NewExpander(LineBytes)
+	exp := NewExpander(NewRegionTable(regions), pageBytes)
 	var batch Batch
 
 	var cursors []int
@@ -321,9 +335,8 @@ func (s *Sharing) DominantWriter() int {
 // pattern (the paper hand-tuned each application's hints).
 func ScanSharing(prog trace.Program, phases int, pageBytes uint64) map[uint64]*Sharing {
 	meta := prog.Meta()
-	shared := NewRegionTable(meta.Regions)
 	acc := memsys.NewPageMap[Sharing](pageBytes)
-	exp := NewExpander(LineBytes)
+	exp := NewExpander(NewRegionTable(meta.Regions), pageBytes)
 	pageShift := shiftFor(pageBytes)
 	var cur blockCursor
 	var spans []Span
@@ -341,19 +354,15 @@ func ScanSharing(prog trace.Program, phases int, pageBytes uint64) map[uint64]*S
 					spans = exp.AppendSpans(spans, run)
 				}
 				for _, s := range spans {
-					for line, n := s.Line, s.N; n > 0; {
-						p, r := shared.SharedPiece(line, n, pageShift)
-						if r != nil {
-							sh := acc.At(line >> pageShift)
-							if s.IsWrite() {
-								sh.Writers |= bit
-								sh.WriteCount[k.GPU] += uint64(p)
-							} else {
-								sh.Readers |= bit
-							}
-						}
-						line += uint64(p) * LineBytes
-						n -= p
+					if !s.Shared {
+						continue
+					}
+					sh := acc.At(s.Line >> pageShift)
+					if s.IsWrite() {
+						sh.Writers |= bit
+						sh.WriteCount[k.GPU] += uint64(s.N)
+					} else {
+						sh.Readers |= bit
 					}
 				}
 			}
@@ -432,21 +441,23 @@ func (t *RegionTable) Lookup(va uint64) *trace.Region {
 	return r
 }
 
-// SharedPiece returns the length p of the longest prefix of the n lines
-// starting at line (1 <= p <= n) that stays inside one page of 1<<pageShift
-// bytes and on one side of the end of the shared region containing line,
-// and that region, or nil when the prefix lies outside every shared region.
-// Every line of the prefix therefore resolves to the same page and the same
-// region. Region ends are computed without overflow.
-func (t *RegionTable) SharedPiece(line uint64, n uint32, pageShift uint) (p uint32, shared *trace.Region) {
-	pageLines := (1<<pageShift - line&(1<<pageShift-1)) / LineBytes
-	p = uint32(min(uint64(n), pageLines))
-	r := t.Lookup(line)
-	if r == nil || r.Kind != trace.RegionShared {
-		return p, nil
+// Shared returns the shared region containing line, or nil.
+func (t *RegionTable) Shared(line uint64) *trace.Region {
+	if r := t.Lookup(line); r != nil && r.Kind == trace.RegionShared {
+		return r
 	}
-	if left := r.Size - (line - r.Base); left < uint64(p)*LineBytes {
-		p = uint32((left + LineBytes - 1) / LineBytes)
+	return nil
+}
+
+// clipToRegion returns how many of the p lines starting at line stay on
+// line's side of the end of shared region r (all p when r is nil). The line
+// holding the region's last byte is inside. Region ends are computed
+// without overflow, for region sizes that are not page or line multiples.
+func clipToRegion(line uint64, p uint32, r *trace.Region) uint32 {
+	if r != nil {
+		if left := r.Size - (line - r.Base); left < uint64(p)*LineBytes {
+			p = uint32((left + LineBytes - 1) / LineBytes)
+		}
 	}
-	return p, r
+	return p
 }

@@ -26,7 +26,8 @@ type recordedLine struct {
 	line  uint64
 }
 
-func (m *recordingModel) Name() string { return "recorder" }
+func (m *recordingModel) Name() string      { return "recorder" }
+func (m *recordingModel) PageBytes() uint64 { return 0 }
 func (m *recordingModel) BeginPhase(i int, profiles []Profile) {
 	m.phases = append(m.phases, i)
 	m.profiles = profiles

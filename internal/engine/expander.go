@@ -4,13 +4,18 @@ import "gps/internal/trace"
 
 // Span is n consecutive cache lines, starting at line-aligned address Line,
 // that one GPU touches with one op and scope, in order: the lines Line,
-// Line+LineBytes, ..., Line+(N-1)*LineBytes (wrapping). A fence is a span
-// with N == 0.
+// Line+LineBytes, ..., Line+(N-1)*LineBytes. A span is a page piece: its
+// lines stay inside one page of the expander's page size and on one side of
+// the end of a shared region, so they all resolve to the same page and
+// either all lie in a shared region (Shared) or none does. A fence is a
+// span with N == 0. Span holds no pointer: the replay appends one per
+// piece, and a pointer would cost a write barrier each and GC scanning.
 type Span struct {
-	Line  uint64
-	N     uint32
-	Op    trace.Op
-	Scope trace.Scope
+	Line   uint64
+	N      uint32
+	Op     trace.Op
+	Scope  trace.Scope
+	Shared bool
 }
 
 // IsWrite reports whether the span's lines are stored to.
@@ -22,22 +27,28 @@ func (s Span) IsWrite() bool { return s.Op == trace.OpStore || s.Op == trace.OpA
 // well-behaved stencil codes like Jacobi present each line exactly once to
 // the GPS write queue and see a 0% queue hit rate (Section 7.4: "all spatial
 // locality is fully captured in the coalescer internal to the SM").
+//
+// It also cuts the spans into page pieces once for every model that reads
+// them: at the ends of pages of pageBytes and of the shared regions of
+// regions.
 type Expander struct {
-	lineBytes uint64
+	regions   *RegionTable
+	pageShift uint
 	lanes     []uint64 // one instruction's coalesced lines, per-lane path
 }
 
-// NewExpander builds an expander for the given cache block size.
-func NewExpander(lineBytes uint64) *Expander {
-	return &Expander{lineBytes: lineBytes, lanes: make([]uint64, 0, 32)}
+// NewExpander builds an expander that cuts spans at the ends of pages of
+// pageBytes (a power of two) and of the shared regions of regions.
+func NewExpander(regions *RegionTable, pageBytes uint64) *Expander {
+	return &Expander{regions: regions, pageShift: shiftFor(pageBytes), lanes: make([]uint64, 0, 32)}
 }
 
 // AppendSpans appends the coalesced lines of every record of r to dst, in
 // record order, and returns the extended slice. A line that continues the
-// last span (next address, same op and scope) extends it, so dst is the
-// shortest span encoding of the line sequence. A contiguous run whose
-// records tile whole consecutive lines costs O(1); other records expand
-// per lane.
+// last span (next address, same op and scope, same page piece) extends it,
+// so dst is the shortest piece encoding of the line sequence. A contiguous
+// run whose records tile whole consecutive lines costs O(1) per page piece;
+// other records expand per lane.
 func (e *Expander) AppendSpans(dst []Span, r trace.Run) []Span {
 	a := r.A
 	if a.Op == trace.OpFence {
@@ -51,18 +62,27 @@ func (e *Expander) AppendSpans(dst []Span, r trace.Run) []Span {
 		// lines; when the step is exactly that many lines, the run tiles one
 		// range. The range must not wrap, as no record's range does.
 		first, n := e.contiguous(a)
-		if r.N == 1 || r.AddrStep == uint64(n)*e.lineBytes && first+uint64(r.N)*r.AddrStep > first {
-			return e.push(dst, a, first, r.N*n)
+		if r.N == 1 || r.AddrStep == uint64(n)*LineBytes && first+uint64(r.N)*r.AddrStep > first {
+			return e.push(dst, a.Op, a.Scope, first, r.N*n)
 		}
 		for i := uint32(0); i < r.N; i++ {
 			first, n := e.contiguous(r.At(i))
-			dst = e.push(dst, a, first, n)
+			dst = e.push(dst, a.Op, a.Scope, first, n)
 		}
 		return dst
 	}
+	var shared *trace.Region // the last lane line's shared region, if any
 	for i := uint32(0); i < r.N; i++ {
 		for _, line := range e.laneLines(r.At(i)) {
-			dst = e.push(dst, a, line, 1)
+			if shared == nil || line-shared.Base >= shared.Size {
+				shared = e.regions.Shared(line)
+			}
+			// One line is one piece: it extends the last span or starts one.
+			if k := len(dst) - 1; k >= 0 && e.continues(&dst[k], a.Op, a.Scope, line, shared != nil) {
+				dst[k].N++
+			} else {
+				dst = appendSpan(dst, line, 1, a.Op, a.Scope, shared != nil)
+			}
 		}
 	}
 	return dst
@@ -72,12 +92,12 @@ func (e *Expander) AppendSpans(dst []Span, r trace.Run) []Span {
 // instruction. A range whose end wraps past 2^64 touches no line.
 func (e *Expander) contiguous(a trace.Access) (first uint64, n uint32) {
 	bytes := uint64(a.Threads) * uint64(a.ElemBytes)
-	first = a.Addr &^ (e.lineBytes - 1)
-	last := (a.Addr + bytes - 1) &^ (e.lineBytes - 1)
+	first = a.Addr &^ (LineBytes - 1)
+	last := (a.Addr + bytes - 1) &^ (LineBytes - 1)
 	if last < first {
 		return first, 0
 	}
-	return first, uint32((last-first)/e.lineBytes + 1)
+	return first, uint32((last-first)/LineBytes + 1)
 }
 
 // laneLines returns the distinct lines of a strided or scattered
@@ -88,7 +108,7 @@ func (e *Expander) laneLines(a trace.Access) []uint64 {
 	case trace.PatStrided:
 		for lane := 0; lane < int(a.Threads); lane++ {
 			va := a.Addr + uint64(lane)*uint64(a.Stride)
-			lines = dedupe(lines, va&^(e.lineBytes-1))
+			lines = dedupe(lines, va&^(LineBytes-1))
 		}
 	case trace.PatScattered:
 		// trace.Validate rejects Stride == 0, but the expander must also hold
@@ -101,26 +121,53 @@ func (e *Expander) laneLines(a trace.Access) []uint64 {
 		for lane := 0; lane < int(a.Threads); lane++ {
 			h := splitmix32(a.Seed + uint32(lane)*0x9e3779b9)
 			lineIdx := uint64(h) % window
-			lines = dedupe(lines, a.Addr&^(e.lineBytes-1)+lineIdx*e.lineBytes)
+			lines = dedupe(lines, a.Addr&^(LineBytes-1)+lineIdx*LineBytes)
 		}
 	}
 	e.lanes = lines
 	return lines
 }
 
-// push appends n lines starting at first, touched by a's op and scope,
-// extending the last span when they continue it.
-func (e *Expander) push(dst []Span, a trace.Access, first uint64, n uint32) []Span {
-	if n == 0 {
-		return dst
-	}
-	if k := len(dst) - 1; k >= 0 {
-		if s := &dst[k]; s.N > 0 && s.Op == a.Op && s.Scope == a.Scope && s.Line+uint64(s.N)*e.lineBytes == first {
-			s.N += n
-			return dst
+// push appends n lines starting at first, touched with op and scope, cut
+// into page pieces. The first piece extends the last span when it
+// continues it.
+func (e *Expander) push(dst []Span, op trace.Op, scope trace.Scope, first uint64, n uint32) []Span {
+	for n > 0 {
+		r := e.regions.Shared(first)
+		p := clipToRegion(first, e.pageLines(first, n), r)
+		if k := len(dst) - 1; k >= 0 && e.continues(&dst[k], op, scope, first, r != nil) {
+			dst[k].N += p
+		} else {
+			dst = appendSpan(dst, first, p, op, scope, r != nil)
 		}
+		first, n = first+uint64(p)*LineBytes, n-p
 	}
-	return append(dst, Span{Line: first, N: n, Op: a.Op, Scope: a.Scope})
+	return dst
+}
+
+// appendSpan appends a span, filling the new slot field by field: built as
+// a composite literal, the span is assembled on the stack from byte stores
+// and copied with one 16-byte load, which stalls on store forwarding.
+func appendSpan(dst []Span, line uint64, n uint32, op trace.Op, scope trace.Scope, shared bool) []Span {
+	dst = append(dst, Span{})
+	s := &dst[len(dst)-1]
+	s.Line, s.N, s.Op, s.Scope, s.Shared = line, n, op, scope, shared
+	return dst
+}
+
+// continues reports whether line, shared or not, extends span s touched
+// with op and scope: it is s's next line, inside s's page and on s's side
+// of a shared region's end. Regions start on page boundaries, so within a
+// page a line past a shared region's end is the only change of side.
+func (e *Expander) continues(s *Span, op trace.Op, scope trace.Scope, line uint64, shared bool) bool {
+	return s.N > 0 && s.Op == op && s.Scope == scope && s.Line+uint64(s.N)*LineBytes == line &&
+		s.Line>>e.pageShift == line>>e.pageShift && s.Shared == shared
+}
+
+// pageLines returns how many of the n lines starting at first stay inside
+// first's page.
+func (e *Expander) pageLines(first uint64, n uint32) uint32 {
+	return uint32(min(uint64(n), (1<<e.pageShift-first&(1<<e.pageShift-1))/LineBytes))
 }
 
 // dedupe appends a line unless the coalescer already emitted it for this

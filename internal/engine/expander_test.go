@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +25,7 @@ func spanLines(spans []Span) []uint64 {
 }
 
 func TestExpandContiguousSingleLine(t *testing.T) {
-	e := NewExpander(128)
+	e := NewExpander(NewRegionTable(nil), 64<<10)
 	// 32 lanes x 4 B starting line-aligned: exactly one line.
 	lines := expand(e, trace.Access{Op: trace.OpLoad, Pattern: trace.PatContiguous,
 		Threads: 32, ElemBytes: 4, Addr: 256})
@@ -34,7 +35,7 @@ func TestExpandContiguousSingleLine(t *testing.T) {
 }
 
 func TestExpandContiguousStraddle(t *testing.T) {
-	e := NewExpander(128)
+	e := NewExpander(NewRegionTable(nil), 64<<10)
 	// Misaligned base straddles two lines.
 	lines := expand(e, trace.Access{Op: trace.OpLoad, Pattern: trace.PatContiguous,
 		Threads: 32, ElemBytes: 4, Addr: 64})
@@ -50,7 +51,7 @@ func TestExpandContiguousStraddle(t *testing.T) {
 }
 
 func TestExpandStrided(t *testing.T) {
-	e := NewExpander(128)
+	e := NewExpander(NewRegionTable(nil), 64<<10)
 	// Stride 256: every lane on its own line.
 	lines := expand(e, trace.Access{Op: trace.OpLoad, Pattern: trace.PatStrided,
 		Threads: 8, ElemBytes: 4, Stride: 256, Addr: 0})
@@ -66,7 +67,7 @@ func TestExpandStrided(t *testing.T) {
 }
 
 func TestExpandScatteredDeterministicAndBounded(t *testing.T) {
-	e := NewExpander(128)
+	e := NewExpander(NewRegionTable(nil), 64<<10)
 	a := trace.Access{Op: trace.OpAtomic, Pattern: trace.PatScattered,
 		Threads: 32, ElemBytes: 4, Stride: 1000, Seed: 42, Addr: 128 * 4096}
 	first := expand(e, a)
@@ -94,7 +95,7 @@ func TestExpandScatteredDeterministicAndBounded(t *testing.T) {
 }
 
 func TestExpandScatteredNoDuplicates(t *testing.T) {
-	e := NewExpander(128)
+	e := NewExpander(NewRegionTable(nil), 64<<10)
 	lines := expand(e, trace.Access{Op: trace.OpStore, Pattern: trace.PatScattered,
 		Threads: 32, ElemBytes: 4, Stride: 4, Seed: 9, Addr: 0})
 	// Window of 4 lines with 32 lanes: after coalescing at most 4 lines.
@@ -111,7 +112,7 @@ func TestExpandScatteredNoDuplicates(t *testing.T) {
 }
 
 func TestExpandScatteredZeroStride(t *testing.T) {
-	e := NewExpander(128)
+	e := NewExpander(NewRegionTable(nil), 64<<10)
 	// A zero window would be a divide-by-zero; trace.Validate rejects it but
 	// the expander must survive hand-built traces: degenerate to a single line.
 	lines := expand(e, trace.Access{Op: trace.OpStore, Pattern: trace.PatScattered,
@@ -122,7 +123,7 @@ func TestExpandScatteredZeroStride(t *testing.T) {
 }
 
 func TestExpandFence(t *testing.T) {
-	e := NewExpander(128)
+	e := NewExpander(NewRegionTable(nil), 64<<10)
 	if lines := expand(e, trace.Access{Op: trace.OpFence, Scope: trace.ScopeSys}); len(lines) != 0 {
 		t.Fatal("fence should touch no lines")
 	}
@@ -131,7 +132,7 @@ func TestExpandFence(t *testing.T) {
 // Property: every expanded line is line-aligned, unique, and within the
 // instruction's reachable footprint.
 func TestExpandProperty(t *testing.T) {
-	e := NewExpander(128)
+	e := NewExpander(NewRegionTable(nil), 64<<10)
 	f := func(op uint8, pat uint8, threads uint8, stride uint32, seed uint32, addr uint64) bool {
 		a := trace.Access{
 			Op:      trace.Op(op % 3),
@@ -155,6 +156,39 @@ func TestExpandProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExpanderCutsPieces checks that spans come out cut at page ends and at
+// a shared region's end (which need not be line aligned), each marked shared
+// or not, and that a cut span resumes merging with the next instruction's
+// lines within its piece.
+func TestExpanderCutsPieces(t *testing.T) {
+	regions := []trace.Region{
+		{Name: "s", Kind: trace.RegionShared, Base: 1 << 33, Size: 2<<12 + 300},
+		{Name: "p", Kind: trace.RegionPrivate, Base: 2 << 33, Size: 1 << 20},
+	}
+	e := NewExpander(NewRegionTable(regions), 4<<10)
+	store := func(addr uint64, lines int) trace.Run {
+		return trace.Run{A: trace.Access{Op: trace.OpStore, Pattern: trace.PatContiguous,
+			Threads: 32, ElemBytes: 4, Addr: addr}, N: uint32(lines), AddrStep: 128}
+	}
+	// 62 lines from line 8 of the region's first page: the rest of page 0
+	// (24 lines), page 1 (32), page 2 up to the line holding the region's
+	// last byte (3), then 3 lines past the region's end; then one line that
+	// continues the last piece, and one in the private region.
+	spans := e.AppendSpans(nil, store(1<<33+8*128, 62))
+	spans = e.AppendSpans(spans, store(1<<33+2<<12+6*128, 1))
+	spans = e.AppendSpans(spans, store(2<<33, 1))
+	want := []Span{
+		{Line: 1<<33 + 8*128, N: 24, Op: trace.OpStore, Shared: true},
+		{Line: 1<<33 + 1<<12, N: 32, Op: trace.OpStore, Shared: true},
+		{Line: 1<<33 + 2<<12, N: 3, Op: trace.OpStore, Shared: true},
+		{Line: 1<<33 + 2<<12 + 3*128, N: 4, Op: trace.OpStore},
+		{Line: 2 << 33, N: 1, Op: trace.OpStore},
+	}
+	if !reflect.DeepEqual(spans, want) {
+		t.Fatalf("spans = %+v\nwant    %+v", spans, want)
 	}
 }
 
@@ -188,7 +222,7 @@ func TestRegionTableRejectsMisaligned(t *testing.T) {
 }
 
 func BenchmarkExpandContiguous(b *testing.B) {
-	e := NewExpander(128)
+	e := NewExpander(NewRegionTable(nil), 64<<10)
 	a := trace.Access{Op: trace.OpLoad, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: 0}
 	var spans []Span
 	b.ReportAllocs()
@@ -199,7 +233,7 @@ func BenchmarkExpandContiguous(b *testing.B) {
 }
 
 func BenchmarkExpandScattered(b *testing.B) {
-	e := NewExpander(128)
+	e := NewExpander(NewRegionTable(nil), 64<<10)
 	a := trace.Access{Op: trace.OpAtomic, Pattern: trace.PatScattered, Threads: 32, ElemBytes: 4, Stride: 4096, Addr: 0}
 	var spans []Span
 	b.ReportAllocs()

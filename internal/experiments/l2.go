@@ -81,7 +81,9 @@ func simulateL2(spec workload.Spec, opt Options, gpus int) (float64, error) {
 	for g := range paths {
 		paths[g] = gpu.NewMemoryPath(g, gpu.V100L2())
 	}
-	exp := engine.NewExpander(engine.LineBytes)
+	// The L2 walks the spans line by line, so their page cut is immaterial:
+	// the largest modeled page cuts least.
+	exp := engine.NewExpander(engine.NewRegionTable(meta.Regions), 2<<20)
 	var spans []engine.Span
 	var dec trace.BlockDecoder
 	var decErr error

@@ -39,6 +39,7 @@ type gpsModel struct {
 	convTLB []*memsys.TLB[memsys.PTE]
 	wq      []*core.WriteQueue
 	xu      []*core.TranslationUnit
+	runs    []drainRun // per GPU: drained lines awaiting translation
 	tracker *core.AccessTracker
 
 	mode      gpsMode
@@ -46,6 +47,13 @@ type gpsModel struct {
 	subHist   map[int]int
 	flags     *memsys.PageMap[gpsPageFlags]
 	forwarded uint64 // loads served from the write queue
+}
+
+// drainRun is n consecutive drained lines of page vpn from one GPU's write
+// queue, translated together when the run ends (settle).
+type drainRun struct {
+	vpn memsys.VPN
+	n   uint64
 }
 
 // gpsPageFlags is the model's slab-packed per-page bookkeeping outside the
@@ -113,22 +121,23 @@ func newGPS(meta trace.Meta, cfg Config, mode gpsMode) (*gpsModel, error) {
 	}
 
 	gpu := cfg.Machine.GPU
+	m.runs = make([]drainRun, m.n)
 	for g := 0; g < m.n; g++ {
 		g := g
 		m.convTLB = append(m.convTLB, memsys.NewTLB[memsys.PTE](gpu.TLBEntries, gpu.TLBWays))
-		xu := core.NewTranslationUnit(g, m.geom, cfg.GPSTLBEntries, cfg.GPSTLBWays,
-			mgr.GPSPageTable(), func(p core.Packet) {
-				m.profiles[p.SrcGPU].Push[p.DstGPU] += lineBytes
-			})
-		m.xu = append(m.xu, xu)
-		m.wq = append(m.wq, core.NewWriteQueue(g, m.geom, cfg.WriteQueueEntries,
-			cfg.WriteQueueWatermark, xu.Process))
+		m.xu = append(m.xu, core.NewTranslationUnit(g, cfg.GPSTLBEntries, cfg.GPSTLBWays, mgr.GPSPageTable()))
+		m.wq = append(m.wq, core.NewWriteQueue(m.geom, cfg.WriteQueueEntries, cfg.WriteQueueWatermark,
+			func(line memsys.VAddr) { m.drained(g, line) }))
 	}
 
 	// Translation changes (unsubscription, downgrade, collapse) shoot down
-	// every TLB's stale entries.
+	// every TLB's stale entries. The model settles every drain run before
+	// it asks the manager for one, so no run can straddle the change.
 	mgr.SetRemapHook(func(vpn memsys.VPN) {
 		for g := 0; g < m.n; g++ {
+			if m.runs[g].n != 0 {
+				panic(fmt.Sprintf("paradigm: GPS page %#x remapped under GPU %d's unsettled drain run", uint64(vpn), g))
+			}
 			m.convTLB[g].Invalidate(vpn)
 			m.xu[g].InvalidateTLB(vpn)
 		}
@@ -153,6 +162,40 @@ func sharedSpan(regions []trace.Region) (lo, hi uint64) {
 		return 0, 0
 	}
 	return lo, hi
+}
+
+// drained extends gpu's drain run by one line leaving its write queue,
+// settling the run first when the line is on another page.
+func (m *gpsModel) drained(gpu int, line memsys.VAddr) {
+	r := &m.runs[gpu]
+	if vpn := m.geom.VPNOf(line); vpn != r.vpn || r.n == 0 {
+		m.settle(gpu)
+		r.vpn = vpn
+	}
+	r.n++
+}
+
+// settle translates gpu's drain run with one translation-unit call and
+// charges its lines to every remote subscriber of the page.
+func (m *gpsModel) settle(gpu int) {
+	r := &m.runs[gpu]
+	if r.n == 0 {
+		return
+	}
+	push := m.profiles[gpu].Push
+	bytes := r.n * lineBytes
+	m.xu[gpu].Process(r.vpn, r.n).ForEach(func(dst int) { push[dst] += bytes })
+	r.n = 0
+}
+
+// settleAll settles every GPU's drain run. It runs before each manager call
+// that can change a page's translation and at the end of every phase, so a
+// run is translated against the page table its lines drained under and
+// charged to the phase they drained in.
+func (m *gpsModel) settleAll() {
+	for g := range m.runs {
+		m.settle(g)
+	}
 }
 
 // translate resolves one line of vpn in gpu's conventional TLB, walking the
@@ -184,15 +227,15 @@ func (m *gpsModel) isManual(vpn uint64) bool {
 	return p != nil && p.manual
 }
 
-// Access walks each span by page piece: it translates the piece's first
-// line, charges the piece's bytes at once wherever every line takes the same
-// decision, and keeps only the GPS-page work per line (write-queue
-// forwarding and pushes). A line that remaps the page (a sys-scoped
-// collapse, an unsubscribed-by-default subscription) shoots down the TLB
-// entry, so it ends its piece and the rest is translated again; such a line
-// always starts its piece. The k-1 lines after the first then hit (or, for
-// lines outside every allocation, miss) exactly as k-1 Lookups would, which
-// LookupN counts in one probe.
+// Access takes each span as one page piece (the engine cuts spans at page
+// ends): it translates the piece's first line, charges the piece's bytes at
+// once wherever every line takes the same decision, and keeps only the
+// GPS-page work per line (write-queue forwarding and pushes). A line that
+// remaps the page (a sys-scoped collapse, an unsubscribed-by-default
+// subscription) shoots down the TLB entry, so it ends its piece and the rest
+// is translated again; such a line always starts its piece. The k-1 lines
+// after the first then hit (or, for lines outside every allocation, miss)
+// exactly as k-1 Lookups would, which LookupN counts in one probe.
 func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	wq := m.wq[gpu]
@@ -204,7 +247,7 @@ func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 			continue
 		}
 		for line, n := s.Line, s.N; n > 0; {
-			k, _ := m.piece(line, n)
+			k := n
 			vpn := m.vpn(line)
 			pte := m.translate(gpu, vpn)
 			bytes := uint64(k) * lineBytes
@@ -229,6 +272,7 @@ func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 				// collapse remaps the page, and a failed one is retried by the
 				// next line.
 				if f := m.flags.At(vpn); !f.collapsing {
+					m.settleAll()
 					if err := m.mgr.CollapseSysScoped(gpu, memsys.VPN(vpn)); err == nil {
 						prof.Shootdowns++
 						f.collapsing = true
@@ -281,6 +325,7 @@ func (m *gpsModel) loadRemoteGPS(gpu int, pte memsys.PTE, line uint64, k uint32)
 			// this GPU, populating a local replica from an existing
 			// subscriber — a whole-page stall, the cost the paper cites for
 			// rejecting this mode.
+			m.settleAll()
 			if err := m.mgr.Subscribe(gpu, m.geom.PageBase(va), m.geom.PageBytes); err == nil {
 				prof.RemoteRead[pte.Owner] += m.geom.PageBytes
 				prof.Faults++
@@ -302,6 +347,7 @@ func (m *gpsModel) EndPhase(index int) {
 	for _, q := range m.wq {
 		q.Flush()
 	}
+	m.settleAll()
 	if m.profiling && index == m.meta.ProfilePhases-1 {
 		m.tracker.Stop() // cuGPSTrackingStop()
 		if m.mode != gpsNoSubscription {

@@ -195,3 +195,70 @@ func TestGPSPieceEndsMatchLines(t *testing.T) {
 		}
 	}
 }
+
+// TestGPSDrainRunsSettleBeforeRemap pins the settle rule of GPS drain
+// runs: a run of drained lines of one page is translated before any manager
+// call that can remap the page, so its lines replicate to the subscribers
+// they drained under. Each case leaves GPU 0 with a pending run of page
+// lines when the remap comes (a 4-entry write queue drains at 3), and
+// lines of the same page still queued behind it: a sys-scoped collapse, a
+// first-read subscription under unsubscribed-by-default profiling, and the
+// profiling-end unsubscription sweep. The replay must match one-line spans
+// and charge exactly the bytes the settle rule implies.
+func TestGPSDrainRunsSettleBeforeRemap(t *testing.T) {
+	base := uint64(1) << 33
+	line := func(op trace.Op, scope trace.Scope, i int) trace.Access {
+		return trace.Access{Op: op, Scope: scope, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 4, Addr: base + uint64(i)*lineBytes}
+	}
+	stores := func(n int) []trace.Access {
+		var out []trace.Access
+		for i := 0; i < n; i++ {
+			out = append(out, line(trace.OpStore, trace.ScopeWeak, i))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name       string
+		kind       Kind
+		gpu0, gpu1 []trace.Access
+		push       uint64 // GPU 0's bytes pushed to GPU 1
+	}{
+		// Lines 0-1 drain while the page has both replicas; the collapse
+		// leaves lines 2-3 nothing to replicate to.
+		{"collapse", KindGPS, append(stores(4), line(trace.OpStore, trace.ScopeSys, 10)), nil, 2 * lineBytes},
+		// Lines 0-1 drain while GPU 0 is the only subscriber; GPU 1's first
+		// read subscribes it before lines 2-3 drain at the phase end.
+		{"subscribe", KindGPSUnsubDefault, stores(4), []trace.Access{line(trace.OpLoad, trace.ScopeWeak, 20)}, 2 * lineBytes},
+		// Line 0 drains at the watermark and lines 1-2 at the phase end,
+		// all before the sweep unsubscribes GPU 1, which never touched the
+		// page.
+		{"profile", KindGPS, stores(3), nil, 3 * lineBytes},
+	} {
+		kernels := []trace.Kernel{{GPU: 0, ComputeOps: 1, Col: trace.EncodeColumns(c.gpu0)}}
+		if c.gpu1 != nil {
+			kernels = append(kernels, trace.Kernel{GPU: 1, ComputeOps: 1, Col: trace.EncodeColumns(c.gpu1)})
+		}
+		prog := &trace.Recorded{
+			M: trace.Meta{Name: c.name, NumGPUs: 2, ProfilePhases: 1,
+				Regions: []trace.Region{{Name: "s", Kind: trace.RegionShared, Base: base, Size: 1 << 20}}},
+			Ph: []trace.Phase{{Index: 0, Kernels: kernels}},
+		}
+		cfg := DefaultConfig()
+		cfg.WriteQueueEntries = 4
+		spans, err := New(c.kind, prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, err := New(c.kind, prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := engine.RunFused(prog, []engine.Model{spans, &lineSplitter{Model: lines}}, nil)
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("%s: span replay differs from one-line spans\nspans: %+v\nlines: %+v", c.name, res[0], res[1])
+		}
+		if got := res[0].Phases[0].Profiles[0].Push[1]; got != c.push {
+			t.Errorf("%s: GPU 0 pushed %d bytes to GPU 1, want %d", c.name, got, c.push)
+		}
+	}
+}

@@ -61,23 +61,18 @@ func (m *memcpyModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	for _, s := range b.Spans {
 		prof.LocalBytes += uint64(s.N) * lineBytes // every structure is mirrored locally
-		if m.elideTransfers || !s.IsWrite() {
-			// Infinite bandwidth never broadcasts, so it tracks no writes.
+		if m.elideTransfers || !s.IsWrite() || !s.Shared {
+			// Infinite bandwidth never broadcasts, so it tracks no writes;
+			// only shared data is broadcast.
 			continue
 		}
-		for line, n := s.Line, s.N; n > 0; {
-			k, region := m.piece(line, n)
-			if region != nil {
-				vpn := line >> m.vpnShift
-				p := m.pages.At(vpn)
-				if p.stamp != m.epoch {
-					p.stamp = m.epoch
-					m.dirty = append(m.dirty, vpn)
-				}
-				p.writer = uint8(gpu + 1)
-			}
-			line, n = line+uint64(k)*lineBytes, n-k
+		vpn := s.Line >> m.vpnShift
+		p := m.pages.At(vpn)
+		if p.stamp != m.epoch {
+			p.stamp = m.epoch
+			m.dirty = append(m.dirty, vpn)
 		}
+		p.writer = uint8(gpu + 1)
 	}
 }
 
@@ -104,6 +99,14 @@ func (m *memcpyModel) EndPhase(int) {
 	}
 	m.dirty = m.dirty[:0]
 	m.epoch++
+}
+
+// PageBytes is 0 for infiniteBW, which reads neither pages nor regions.
+func (m *memcpyModel) PageBytes() uint64 {
+	if m.elideTransfers {
+		return 0
+	}
+	return m.pageBytes
 }
 
 func (m *memcpyModel) Finish(*engine.Result) {}

@@ -201,7 +201,6 @@ type base struct {
 	meta      trace.Meta
 	geom      memsys.Geometry
 	n         int
-	regions   *engine.RegionTable
 	pageBytes uint64
 	vpnShift  uint
 
@@ -216,7 +215,6 @@ func newBase(name string, meta trace.Meta, cfg Config) base {
 		meta:      meta,
 		geom:      geom,
 		n:         meta.NumGPUs,
-		regions:   engine.NewRegionTable(meta.Regions),
 		pageBytes: cfg.PageBytes,
 		vpnShift:  uint(geom.PageShift()),
 	}
@@ -224,22 +222,14 @@ func newBase(name string, meta trace.Meta, cfg Config) base {
 
 func (b *base) Name() string { return b.name }
 
+func (b *base) PageBytes() uint64 { return b.pageBytes }
+
 func (b *base) BeginPhase(index int, profiles []engine.Profile) {
 	b.phase = index
 	b.profiles = profiles
 }
 
 func (b *base) vpn(line uint64) uint64 { return line >> b.vpnShift }
-
-// piece splits the n lines starting at line at the model's page size: it
-// returns the length k of the longest prefix that stays inside one page and
-// on one side of the end of the shared region containing line, and that
-// region (nil outside every shared region). Every line of the piece takes
-// the same decision, so the span models decide once per piece and charge
-// k lines.
-func (b *base) piece(line uint64, n uint32) (k uint32, shared *trace.Region) {
-	return b.regions.SharedPiece(line, n, b.vpnShift)
-}
 
 // privateOwner returns the owning GPU for a private region access.
 func privateOwner(r *trace.Region, fallback int) int {

@@ -28,27 +28,23 @@ func newRDL(meta trace.Meta, cfg Config) *rdlModel {
 func (m *rdlModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	for _, s := range b.Spans {
-		for line, n := s.Line, s.N; n > 0; {
-			k, region := m.piece(line, n)
-			vpn, bytes := line>>m.vpnShift, uint64(k)*lineBytes
-			line, n = line+bytes, n-k
-			if region == nil {
+		bytes := uint64(s.N) * lineBytes
+		if !s.Shared {
+			prof.LocalBytes += bytes
+			continue
+		}
+		p := m.lastWriter.At(s.Line >> m.vpnShift)
+		switch s.Op {
+		case trace.OpLoad:
+			if lw := *p; lw == 0 || int(lw) == gpu+1 {
 				prof.LocalBytes += bytes
-				continue
+			} else {
+				prof.RemoteRead[int(lw)-1] += bytes
+				prof.RemoteReadLines += uint64(s.N)
 			}
-			p := m.lastWriter.At(vpn)
-			switch s.Op {
-			case trace.OpLoad:
-				if lw := *p; lw == 0 || int(lw) == gpu+1 {
-					prof.LocalBytes += bytes
-				} else {
-					prof.RemoteRead[int(lw)-1] += bytes
-					prof.RemoteReadLines += uint64(k)
-				}
-			case trace.OpStore, trace.OpAtomic:
-				prof.LocalBytes += bytes
-				*p = uint8(gpu + 1)
-			}
+		case trace.OpStore, trace.OpAtomic:
+			prof.LocalBytes += bytes
+			*p = uint8(gpu + 1)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // lineSplitter forwards every batch to its model re-split into one-line
-// spans: the line-at-a-time replay the span models must reproduce.
+// spans, each marked shared or not as its piece is: the line-at-a-time
+// replay the span models must reproduce.
 type lineSplitter struct {
 	engine.Model
 	b engine.Batch
@@ -24,7 +25,7 @@ func (s *lineSplitter) Access(gpu int, b *engine.Batch) {
 			s.b.Spans = append(s.b.Spans, sp)
 		}
 		for i := uint32(0); i < sp.N; i++ {
-			s.b.Spans = append(s.b.Spans, engine.Span{Line: sp.Line + uint64(i)*lineBytes, N: 1, Op: sp.Op, Scope: sp.Scope})
+			s.b.Spans = append(s.b.Spans, engine.Span{Line: sp.Line + uint64(i)*lineBytes, N: 1, Op: sp.Op, Scope: sp.Scope, Shared: sp.Shared})
 		}
 	}
 	s.Model.Access(gpu, &s.b)
@@ -45,6 +46,7 @@ type lineRecorder struct {
 }
 
 func (r *lineRecorder) Name() string                         { return "recorder" }
+func (r *lineRecorder) PageBytes() uint64                    { return 0 }
 func (r *lineRecorder) BeginPhase(i int, _ []engine.Profile) { r.phase = i }
 func (r *lineRecorder) EndPhase(int)                         {}
 func (r *lineRecorder) Finish(*engine.Result)                {}
@@ -178,7 +180,8 @@ func splitProgram(seed int64, gpus int) *trace.Recorded {
 // from spilled ones. The engine's line sequence must equal the reference
 // per-lane expansion of every record, and every paradigm at 4 KB, 64 KB and
 // 2 MB pages must produce the same Result from the engine's batches as from
-// the same batches re-split into one-line spans.
+// the same batches re-split into one-line spans, both when all page sizes
+// replay in one fused group and when each replays in a group of its own.
 func FuzzSpanSplit(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(seed, uint8(seed))
@@ -216,26 +219,36 @@ func FuzzSpanSplit(f *testing.F) {
 			}
 		}
 
+		// The mixed group's spans are cut at 4 KB pages for every model, so
+		// each page size also replays in a group of its own, where the 64 KB
+		// and 2 MB models see pieces of their own size.
+		pages := []uint64{4 << 10, 64 << 10, 2 << 20}
 		rec := &lineRecorder{}
-		models := []engine.Model{rec}
+		mixed := []engine.Model{rec}
+		own := make([][]engine.Model, len(pages))
 		var names []string
-		for _, page := range []uint64{4 << 10, 64 << 10, 2 << 20} {
+		for pi, page := range pages {
 			cfg := DefaultConfig()
 			cfg.PageBytes = page
 			for _, kind := range Kinds() {
-				spans, err := New(kind, prog, cfg)
-				if err != nil {
-					t.Fatal(err)
+				for _, group := range []*[]engine.Model{&mixed, &own[pi]} {
+					spans, err := New(kind, prog, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lines, err := New(kind, prog, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					*group = append(*group, spans, &lineSplitter{Model: lines})
 				}
-				lines, err := New(kind, prog, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				models = append(models, spans, &lineSplitter{Model: lines})
 				names = append(names, fmt.Sprintf("%s@%dKB", kind, page>>10))
 			}
 		}
-		res := engine.RunFused(prog, models, nil)
+		res := engine.RunFused(prog, mixed, nil)[1:]
+		for pi := range pages {
+			res = append(res, engine.RunFused(prog, own[pi], nil)...)
+		}
 
 		// Kernels run one per GPU, so per (phase, GPU) the engine's order
 		// is program order.
@@ -250,9 +263,13 @@ func FuzzSpanSplit(f *testing.F) {
 		if !reflect.DeepEqual(got, exp) {
 			t.Fatalf("engine line sequence (%d lines) differs from the lane expansion (%d lines)", len(rec.lines), len(want))
 		}
-		for i, name := range names {
-			if a, b := res[1+2*i], res[2+2*i]; !reflect.DeepEqual(a, b) {
-				t.Errorf("%s: span replay differs from one-line spans\nspans: %+v\nlines: %+v", name, a, b)
+		for i := 0; i < len(res); i += 2 {
+			group, name := "mixed", names[i/2%len(names)]
+			if i >= 2*len(names) {
+				group = "own"
+			}
+			if a, b := res[i], res[i+1]; !reflect.DeepEqual(a, b) {
+				t.Errorf("%s in the %s group: span replay differs from one-line spans\nspans: %+v\nlines: %+v", name, group, a, b)
 			}
 		}
 	})

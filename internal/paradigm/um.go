@@ -46,48 +46,44 @@ func newUM(meta trace.Meta, cfg Config) *umModel {
 func (m *umModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	for _, s := range b.Spans {
-		for line, n := s.Line, s.N; n > 0; {
-			k, region := m.piece(line, n)
-			vpn, bytes := line>>m.vpnShift, uint64(k)*lineBytes
-			line, n = line+bytes, n-k
-			if region == nil {
-				prof.LocalBytes += bytes
-				continue
+		bytes := uint64(s.N) * lineBytes
+		if !s.Shared {
+			prof.LocalBytes += bytes
+			continue
+		}
+		p := m.pages.At(s.Line >> m.vpnShift)
+		if p.stamp != m.epoch {
+			p.thrash, p.pinned, p.stamp = 0, false, m.epoch
+		}
+		// The piece's first line decides; once it has populated or
+		// migrated the page, the rest of the piece is local.
+		switch {
+		case p.owner == 0:
+			// First touch: populate on the accessor (a minor fault with no
+			// data movement).
+			p.owner = uint8(gpu + 1)
+			prof.Faults++
+			prof.LocalBytes += bytes
+		case int(p.owner) == gpu+1:
+			prof.LocalBytes += bytes
+		case p.pinned:
+			// Thrash-mitigated: access the lines remotely without migrating.
+			owner := int(p.owner) - 1
+			if s.IsWrite() {
+				prof.Push[owner] += bytes
+			} else {
+				prof.RemoteRead[owner] += bytes
+				prof.RemoteReadLines += uint64(s.N)
 			}
-			p := m.pages.At(vpn)
-			if p.stamp != m.epoch {
-				p.thrash, p.pinned, p.stamp = 0, false, m.epoch
-			}
-			// The piece's first line decides; once it has populated or
-			// migrated the page, the rest of the piece is local.
-			switch {
-			case p.owner == 0:
-				// First touch: populate on the accessor (a minor fault with no
-				// data movement).
-				p.owner = uint8(gpu + 1)
-				prof.Faults++
-				prof.LocalBytes += bytes
-			case int(p.owner) == gpu+1:
-				prof.LocalBytes += bytes
-			case p.pinned:
-				// Thrash-mitigated: access the lines remotely without migrating.
-				owner := int(p.owner) - 1
-				if s.IsWrite() {
-					prof.Push[owner] += bytes
-				} else {
-					prof.RemoteRead[owner] += bytes
-					prof.RemoteReadLines += uint64(k)
-				}
-			default:
-				// Fault + migrate the page to the accessor.
-				prof.Faults++
-				prof.RemoteRead[int(p.owner)-1] += m.pageBytes
-				p.owner = uint8(gpu + 1)
-				prof.LocalBytes += bytes
-				p.thrash++
-				if p.thrash >= thrashLimit {
-					p.pinned = true
-				}
+		default:
+			// Fault + migrate the page to the accessor.
+			prof.Faults++
+			prof.RemoteRead[int(p.owner)-1] += m.pageBytes
+			p.owner = uint8(gpu + 1)
+			prof.LocalBytes += bytes
+			p.thrash++
+			if p.thrash >= thrashLimit {
+				p.pinned = true
 			}
 		}
 	}

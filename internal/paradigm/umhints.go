@@ -17,7 +17,8 @@ import (
 // shootdown — the cost Section 7.1 highlights.
 type hintsModel struct {
 	base
-	pages *memsys.PageMap[hintsPage]
+	regions *engine.RegionTable // for the prefetch block's clip
+	pages   *memsys.PageMap[hintsPage]
 }
 
 // hintsPage is one page's hint state, slab-packed.
@@ -34,7 +35,7 @@ type hintsPage struct {
 const prefetchBlockBytes = 512 << 10
 
 func newUMHints(meta trace.Meta, cfg Config, sharing map[uint64]*engine.Sharing) *hintsModel {
-	m := &hintsModel{base: newBase("UM+hints", meta, cfg)}
+	m := &hintsModel{base: newBase("UM+hints", meta, cfg), regions: engine.NewRegionTable(meta.Regions)}
 	m.pages = memsys.NewPageMap[hintsPage](m.pageBytes)
 	// ScanSharing works at cfg.PageBytes granularity already.
 	for vpn, s := range sharing {
@@ -57,41 +58,37 @@ func (m *hintsModel) homeOf(p *hintsPage, toucher int) int {
 func (m *hintsModel) Access(gpu int, b *engine.Batch) {
 	prof := &m.profiles[gpu]
 	for _, s := range b.Spans {
-		for line, n := s.Line, s.N; n > 0; {
-			k, region := m.piece(line, n)
-			first, bytes := line, uint64(k)*lineBytes
-			line, n = line+bytes, n-k
-			if region == nil {
-				prof.LocalBytes += bytes
-				continue
+		bytes := uint64(s.N) * lineBytes
+		if !s.Shared {
+			prof.LocalBytes += bytes
+			continue
+		}
+		p := m.pages.At(s.Line >> m.vpnShift)
+		h := m.homeOf(p, gpu)
+		switch s.Op {
+		case trace.OpLoad:
+			if h != gpu && p.dup&(1<<gpu) == 0 {
+				// Prefetch hint: duplicate the surrounding block before use.
+				// The coarse copy over-fetches when only part of the block is
+				// consumed. The block always holds this page, so the rest of
+				// the piece reads the fresh duplicate.
+				m.prefetchBlock(gpu, s.Line, m.regions.Lookup(s.Line))
 			}
-			p := m.pages.At(first >> m.vpnShift)
-			h := m.homeOf(p, gpu)
-			switch s.Op {
-			case trace.OpLoad:
-				if h != gpu && p.dup&(1<<gpu) == 0 {
-					// Prefetch hint: duplicate the surrounding block before use.
-					// The coarse copy over-fetches when only part of the block
-					// is consumed. The block always holds this page, so the rest
-					// of the piece reads the fresh duplicate.
-					m.prefetchBlock(gpu, first, region)
-				}
+			prof.LocalBytes += bytes
+		case trace.OpStore, trace.OpAtomic:
+			if p.dup != 0 {
+				// Writing a read-duplicated page collapses it back to the
+				// preferred location: TLB shootdown on the writer's critical
+				// path (Section 2.1).
+				p.dup = 0
+				prof.Shootdowns++
+			}
+			if h == gpu {
 				prof.LocalBytes += bytes
-			case trace.OpStore, trace.OpAtomic:
-				if p.dup != 0 {
-					// Writing a read-duplicated page collapses it back to the
-					// preferred location: TLB shootdown on the writer's critical
-					// path (Section 2.1).
-					p.dup = 0
-					prof.Shootdowns++
-				}
-				if h == gpu {
-					prof.LocalBytes += bytes
-				} else {
-					// accessed-by: remote store to the preferred location; does
-					// not stall the writer.
-					prof.Push[h] += bytes
-				}
+			} else {
+				// accessed-by: remote store to the preferred location; does
+				// not stall the writer.
+				prof.Push[h] += bytes
 			}
 		}
 	}
