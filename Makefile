@@ -96,7 +96,8 @@ benchgate:
 
 ## chaos: the resilience gate — fault-injected suites and the terminal
 ## accounting invariant under -race, fuzz passes over the trace decoders,
-## the run encoder and journal replay, and the SIGKILL crash-recovery smoke.
+## the run encoder, journal replay and random funcsim programs, and the
+## SIGKILL crash-recovery smoke.
 chaos:
 	$(GO) test -race ./internal/faultinject/ ./internal/retry/
 	$(GO) test -race -run 'Panic|Injected|CellError|Deterministic' ./internal/experiments/
@@ -107,4 +108,5 @@ chaos:
 	$(GO) test -fuzz=FuzzColumnEncoderRuns -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz=FuzzSpanSplit -fuzztime=10s ./internal/paradigm/
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/service/
+	$(GO) test -run '^$$' -fuzz=FuzzFuncsimPrograms -fuzztime=10s ./internal/funcsim/
 	sh scripts/chaos_smoke.sh

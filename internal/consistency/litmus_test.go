@@ -15,7 +15,7 @@ var (
 // queue to flush and deliver, so the forbidden outcome (flag=1, data=0) must
 // be unobservable.
 func TestLitmusMessagePassing(t *testing.T) {
-	ex := NewExplorer(2, []Thread{
+	outcomes := explore(t, 2, []Thread{
 		{GPU: 0, Ops: []Op{
 			{Kind: OpStoreWeak, Addr: data, Val: 1},
 			{Kind: OpFenceSys},
@@ -26,7 +26,6 @@ func TestLitmusMessagePassing(t *testing.T) {
 			{Kind: OpLoad, Addr: data},
 		}},
 	})
-	outcomes := ex.Explore()
 	if len(outcomes) == 0 {
 		t.Fatal("no outcomes explored")
 	}
@@ -59,7 +58,7 @@ func TestLitmusMessagePassing(t *testing.T) {
 // write, so a consumer may legally see flag=1 with data=0.
 func TestLitmusWeakStoresMayReorder(t *testing.T) {
 	flagSibling := Addr{Line: flag.Line, Off: 1}
-	ex := NewExplorer(2, []Thread{
+	outcomes := explore(t, 2, []Thread{
 		{GPU: 0, Ops: []Op{
 			{Kind: OpStoreWeak, Addr: flagSibling, Val: 9}, // flag line becomes resident
 			{Kind: OpStoreWeak, Addr: data, Val: 1},
@@ -70,7 +69,6 @@ func TestLitmusWeakStoresMayReorder(t *testing.T) {
 			{Kind: OpLoad, Addr: data},
 		}},
 	})
-	outcomes := ex.Explore()
 	// flag=1, data=0 is allowed for unsynchronized weak stores: the paper
 	// relies on this to coalesce and delay stores freely.
 	if !Contains(outcomes, func(l map[string]int) bool {
@@ -90,13 +88,12 @@ func TestLitmusWeakStoresMayReorder(t *testing.T) {
 // immediately (the W3 local-replica update path in Figure 7), even though
 // remote propagation is delayed.
 func TestLitmusReadYourOwnWrites(t *testing.T) {
-	ex := NewExplorer(2, []Thread{
+	outcomes := explore(t, 2, []Thread{
 		{GPU: 0, Ops: []Op{
 			{Kind: OpStoreWeak, Addr: x, Val: 7},
 			{Kind: OpLoad, Addr: x},
 		}},
 	})
-	outcomes := ex.Explore()
 	if Contains(outcomes, func(l map[string]int) bool {
 		return l["t0:r0"] != 7
 	}) {
@@ -107,7 +104,7 @@ func TestLitmusReadYourOwnWrites(t *testing.T) {
 // Coalescing must preserve same-address ordering per writer: GPU1 may see
 // x=1 then x=2 or skip straight to 2 (coalesced), but never 2 then 1.
 func TestLitmusCoalescingPreservesSameAddressOrder(t *testing.T) {
-	ex := NewExplorer(2, []Thread{
+	outcomes := explore(t, 2, []Thread{
 		{GPU: 0, Ops: []Op{
 			{Kind: OpStoreWeak, Addr: x, Val: 1},
 			{Kind: OpStoreWeak, Addr: x, Val: 2},
@@ -117,7 +114,6 @@ func TestLitmusCoalescingPreservesSameAddressOrder(t *testing.T) {
 			{Kind: OpLoad, Addr: x},
 		}},
 	})
-	outcomes := ex.Explore()
 	if Contains(outcomes, func(l map[string]int) bool {
 		return l["t1:r0"] == 2 && l["t1:r1"] == 1
 	}) {
@@ -139,7 +135,7 @@ func TestLitmusCoalescingPreservesSameAddressOrder(t *testing.T) {
 func TestLitmusCoalescedBlockDeliversBothWords(t *testing.T) {
 	a0 := Addr{Line: 5, Off: 0}
 	a1 := Addr{Line: 5, Off: 1}
-	ex := NewExplorer(2, []Thread{
+	outcomes := explore(t, 2, []Thread{
 		{GPU: 0, Ops: []Op{
 			{Kind: OpStoreWeak, Addr: a0, Val: 3},
 			{Kind: OpStoreWeak, Addr: a1, Val: 4},
@@ -152,7 +148,6 @@ func TestLitmusCoalescedBlockDeliversBothWords(t *testing.T) {
 			{Kind: OpLoad, Addr: a1},
 		}},
 	})
-	outcomes := ex.Explore()
 	if Contains(outcomes, func(l map[string]int) bool {
 		return l["t1:r0"] == 1 && (l["t1:r1"] != 3 || l["t1:r2"] != 4)
 	}) {
@@ -165,13 +160,12 @@ func TestLitmusCoalescedBlockDeliversBothWords(t *testing.T) {
 // consumers (no inter-GPU store atomicity). The paper argues this is
 // permitted: such programs are racy under the model.
 func TestLitmusRacyStoresNeedNoGlobalOrder(t *testing.T) {
-	ex := NewExplorer(4, []Thread{
+	outcomes := explore(t, 4, []Thread{
 		{GPU: 0, Ops: []Op{{Kind: OpStoreWeak, Addr: x, Val: 1}}},
 		{GPU: 1, Ops: []Op{{Kind: OpStoreWeak, Addr: x, Val: 2}}},
 		{GPU: 2, Ops: []Op{{Kind: OpLoad, Addr: x}, {Kind: OpLoad, Addr: x}}},
 		{GPU: 3, Ops: []Op{{Kind: OpLoad, Addr: x}, {Kind: OpLoad, Addr: x}}},
 	})
-	outcomes := ex.Explore()
 	// GPU2 sees 1 then 2 while GPU3 sees 2 then 1: allowed divergence.
 	if !Contains(outcomes, func(l map[string]int) bool {
 		return l["t2:r0"] == 1 && l["t2:r1"] == 2 && l["t3:r0"] == 2 && l["t3:r1"] == 1
@@ -183,11 +177,10 @@ func TestLitmusRacyStoresNeedNoGlobalOrder(t *testing.T) {
 // Store buffering (Dekker): both GPUs store then load the other's variable.
 // Under the relaxed model without fences, both may read 0.
 func TestLitmusStoreBuffering(t *testing.T) {
-	ex := NewExplorer(2, []Thread{
+	outcomes := explore(t, 2, []Thread{
 		{GPU: 0, Ops: []Op{{Kind: OpStoreWeak, Addr: x, Val: 1}, {Kind: OpLoad, Addr: y}}},
 		{GPU: 1, Ops: []Op{{Kind: OpStoreWeak, Addr: y, Val: 1}, {Kind: OpLoad, Addr: x}}},
 	})
-	outcomes := ex.Explore()
 	if !Contains(outcomes, func(l map[string]int) bool {
 		return l["t0:r0"] == 0 && l["t1:r0"] == 0
 	}) {
@@ -199,14 +192,13 @@ func TestLitmusStoreBuffering(t *testing.T) {
 // address must be observed in a single total order by all readers. With
 // one writer, a reader can never see the newer value then the older one.
 func TestLitmusSysStoresCoherent(t *testing.T) {
-	ex := NewExplorer(2, []Thread{
+	outcomes := explore(t, 2, []Thread{
 		{GPU: 0, Ops: []Op{
 			{Kind: OpStoreSys, Addr: x, Val: 1},
 			{Kind: OpStoreSys, Addr: x, Val: 2},
 		}},
 		{GPU: 1, Ops: []Op{{Kind: OpLoad, Addr: x}, {Kind: OpLoad, Addr: x}}},
 	})
-	outcomes := ex.Explore()
 	if Contains(outcomes, func(l map[string]int) bool {
 		return l["t1:r0"] == 2 && l["t1:r1"] == 1
 	}) {
@@ -230,13 +222,12 @@ func TestExplorerPanicsOnBadGPU(t *testing.T) {
 // without sys-scoped synchronization — so the relaxed outcome must be
 // reachable.
 func TestLitmusIRIW(t *testing.T) {
-	ex := NewExplorer(4, []Thread{
+	outcomes := explore(t, 4, []Thread{
 		{GPU: 0, Ops: []Op{{Kind: OpStoreWeak, Addr: x, Val: 1}}},
 		{GPU: 1, Ops: []Op{{Kind: OpStoreWeak, Addr: y, Val: 1}}},
 		{GPU: 2, Ops: []Op{{Kind: OpLoad, Addr: x}, {Kind: OpLoad, Addr: y}}},
 		{GPU: 3, Ops: []Op{{Kind: OpLoad, Addr: y}, {Kind: OpLoad, Addr: x}}},
 	})
-	outcomes := ex.Explore()
 	// Reader 2 sees x then not-yet y; reader 3 sees y then not-yet x.
 	if !Contains(outcomes, func(l map[string]int) bool {
 		return l["t2:r0"] == 1 && l["t2:r1"] == 0 && l["t3:r0"] == 1 && l["t3:r1"] == 0
@@ -252,7 +243,7 @@ func TestLitmusIRIW(t *testing.T) {
 // NOT implied — data must be republished or synchronized transitively.
 // The test documents this relaxed (but model-legal) behavior.
 func TestLitmusWRCWithoutTransitivity(t *testing.T) {
-	ex := NewExplorer(3, []Thread{
+	outcomes := explore(t, 3, []Thread{
 		{GPU: 0, Ops: []Op{{Kind: OpStoreWeak, Addr: data, Val: 1}}},
 		{GPU: 1, Ops: []Op{
 			{Kind: OpLoad, Addr: data},
@@ -264,7 +255,6 @@ func TestLitmusWRCWithoutTransitivity(t *testing.T) {
 			{Kind: OpLoad, Addr: data},
 		}},
 	})
-	outcomes := ex.Explore()
 	// The causal chain t1 saw data=1, t2 saw flag=1, yet t2 reads data=0 is
 	// observable: GPU1's fence drains GPU1's queue, not GPU0's.
 	if !Contains(outcomes, func(l map[string]int) bool {
@@ -278,14 +268,13 @@ func TestLitmusWRCWithoutTransitivity(t *testing.T) {
 // queue entries, so a consumer can observe the intermediate RMW value even
 // after later atomics were issued — unlike coalesced weak stores.
 func TestLitmusAtomicsDoNotCoalesce(t *testing.T) {
-	ex := NewExplorer(2, []Thread{
+	outcomes := explore(t, 2, []Thread{
 		{GPU: 0, Ops: []Op{
 			{Kind: OpAtomicAdd, Addr: x, Val: 1},
 			{Kind: OpAtomicAdd, Addr: x, Val: 1},
 		}},
 		{GPU: 1, Ops: []Op{{Kind: OpLoad, Addr: x}, {Kind: OpLoad, Addr: x}}},
 	})
-	outcomes := ex.Explore()
 	// Intermediate value observable.
 	if !Contains(outcomes, func(l map[string]int) bool {
 		return l["t1:r0"] == 1 && l["t1:r1"] == 2
@@ -317,7 +306,7 @@ func TestLitmusAtomicsDoNotCoalesce(t *testing.T) {
 func TestLitmusCrossGPUAtomicsLoseUpdates(t *testing.T) {
 	fA := Addr{Line: 3, Off: 0}
 	fB := Addr{Line: 4, Off: 0}
-	ex := NewExplorer(3, []Thread{
+	outcomes := explore(t, 3, []Thread{
 		{GPU: 0, Ops: []Op{
 			{Kind: OpAtomicAdd, Addr: x, Val: 1},
 			{Kind: OpFenceSys},
@@ -334,7 +323,6 @@ func TestLitmusCrossGPUAtomicsLoseUpdates(t *testing.T) {
 			{Kind: OpLoad, Addr: x},
 		}},
 	})
-	outcomes := ex.Explore()
 	bothDone := func(l map[string]int) bool { return l["t2:r0"] == 1 && l["t2:r1"] == 1 }
 	// Lost update: both atomics completed and delivered, yet x == 1.
 	if !Contains(outcomes, func(l map[string]int) bool {
@@ -360,11 +348,10 @@ func TestLitmusCrossGPUAtomicsLoseUpdates(t *testing.T) {
 // GPS model never speculates, so the outcome is unreachable (the hardware
 // is allowed to be stronger than the formal model requires).
 func TestLitmusLoadBuffering(t *testing.T) {
-	ex := NewExplorer(2, []Thread{
+	outcomes := explore(t, 2, []Thread{
 		{GPU: 0, Ops: []Op{{Kind: OpLoad, Addr: y}, {Kind: OpStoreWeak, Addr: x, Val: 1}}},
 		{GPU: 1, Ops: []Op{{Kind: OpLoad, Addr: x}, {Kind: OpStoreWeak, Addr: y, Val: 1}}},
 	})
-	outcomes := ex.Explore()
 	if Contains(outcomes, func(l map[string]int) bool {
 		return l["t0:r0"] == 1 && l["t1:r0"] == 1
 	}) {

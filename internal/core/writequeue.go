@@ -18,7 +18,7 @@ type WriteQueueStats struct {
 	Hits       uint64 // stores merged into a resident block
 	Misses     uint64 // stores that allocated a new block
 	Atomics    uint64 // pass-through operations
-	Drains     uint64 // blocks drained at the watermark
+	Drains     uint64 // blocks drained at the watermark or by Drain
 	Flushes    uint64 // blocks drained by synchronization
 	FlushCalls uint64 // number of Flush invocations
 }
@@ -216,6 +216,14 @@ func (q *WriteQueue) PushStore(va memsys.VAddr) (coalesced bool) {
 // PushAtomic offers an atomic RMW. The GPS write queue does not support
 // coalescing atomics (Section 7.4), so the operation passes straight through
 // to the drain sink.
+//
+// The pass-through reaches the sink ahead of every older resident block, so
+// an atomic can become visible before a weak store issued before it. The
+// litmus explorer in internal/consistency instead queues an atomic behind
+// older entries and forbids that order: with x and y two words of one line,
+// GPU0 running "store x=1; atomicAdd y+=1" and GPU1 running "load y; load x"
+// may read y=1, x=0 here but not in the explorer. Which side is right is
+// still open.
 func (q *WriteQueue) PushAtomic(va memsys.VAddr) {
 	q.stats.Atomics++
 	q.drain(q.geom.LineBase(va))
@@ -230,6 +238,17 @@ func (q *WriteQueue) Flush() {
 	for q.tail != q.head {
 		q.drainOldest()
 	}
+}
+
+// Drain drains the least recently added block, as the watermark does, and
+// counts it in Stats().Drains. It reports false when the queue is empty.
+func (q *WriteQueue) Drain() bool {
+	if q.tail == q.head {
+		return false
+	}
+	q.stats.Drains++
+	q.drainOldest()
+	return true
 }
 
 func (q *WriteQueue) drainOldest() {

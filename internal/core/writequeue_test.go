@@ -223,6 +223,54 @@ func TestWriteQueueConservationProperty(t *testing.T) {
 	}
 }
 
+func TestWriteQueueDrainOne(t *testing.T) {
+	var drained []memsys.VAddr
+	q := NewWriteQueue(testGeom(), 8, 7, collectDrains(&drained))
+	q.PushStore(128)
+	q.PushStore(0)
+	q.PushStore(130) // coalesces: line 128 stays the oldest block
+	if !q.Drain() || len(drained) != 1 || drained[0] != 128 {
+		t.Fatalf("first Drain delivered %v, want the oldest line [128]", drained)
+	}
+	if !q.Drain() || len(drained) != 2 || drained[1] != 0 {
+		t.Fatalf("second Drain delivered %v, want line 0 next", drained)
+	}
+	if q.Drain() {
+		t.Fatal("Drain on an empty queue reported a block")
+	}
+	if s := q.Stats(); s.Drains != 2 || s.Flushes != 0 || q.Len() != 0 {
+		t.Fatalf("drains/flushes/len = %d/%d/%d, want 2/0/0", s.Drains, s.Flushes, q.Len())
+	}
+
+	// Interleaved with PushStore, Drain keeps the conservation invariant:
+	// every missed line drains exactly once, at the watermark, by Drain or
+	// by the final Flush.
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 30; trial++ {
+		var n int
+		q := NewWriteQueue(testGeom(), 32, 31, func(memsys.VAddr) { n++ })
+		stores := 1 + rng.Intn(5000)
+		for i := 0; i < stores; i++ {
+			q.PushStore(memsys.VAddr(rng.Intn(200) * 128))
+			if rng.Intn(3) == 0 {
+				q.Drain()
+			}
+		}
+		s := q.Stats()
+		if s.Hits+s.Misses != uint64(stores) {
+			t.Fatalf("hits+misses = %d, want %d", s.Hits+s.Misses, stores)
+		}
+		q.Flush()
+		if uint64(n) != s.Misses || s.Drains+q.Stats().Flushes != s.Misses {
+			t.Fatalf("drained %d lines (%d by the watermark or Drain, %d by flush), want %d misses",
+				n, s.Drains, q.Stats().Flushes, s.Misses)
+		}
+		if q.Len() != 0 {
+			t.Fatal("residue after flush")
+		}
+	}
+}
+
 func TestWriteQueueConstructorPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewWriteQueue(testGeom(), 0, 1, func(memsys.VAddr) {}) },

@@ -1,9 +1,14 @@
 // Package funcsim is the functional (value-accurate) companion to the
 // timing simulator: a multi-GPU memory with real data in it, implementing
 // GPS semantics operationally — per-subscriber replicas, local loads,
-// stores coalesced per cache line in a per-GPU publish queue, in-order
-// delivery to every subscriber, and full drains at barriers (the implicit
-// sys-scoped release at the end of every grid).
+// stores coalesced per cache line in each GPU's remote write queue,
+// in-order delivery to every subscriber, and full drains at barriers (the
+// implicit sys-scoped release at the end of every grid).
+//
+// The write queue is core.WriteQueue at the paper's size and watermark,
+// the same queue whose statistics feed the figures: it decides coalescing,
+// watermark drains and flush order, and funcsim only shadows the word
+// values of each queued line until the queue's drain sink delivers them.
 //
 // Its purpose is end-to-end validation of the paper's correctness argument
 // (Sections 3.2-3.3): a data-parallel program that synchronizes its
@@ -18,6 +23,10 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+
+	"gps/internal/core"
+	"gps/internal/gpuconf"
+	"gps/internal/memsys"
 )
 
 // Word is the access granularity: 8-byte aligned float64 values.
@@ -26,35 +35,24 @@ const wordBytes = 8
 // Machine is an n-GPU memory with GPS publish-subscribe semantics.
 type Machine struct {
 	n            int
-	pageBytes    uint64
-	lineBytes    uint64
+	geom         memsys.Geometry
 	wordsPerLine int
 
-	replicas []map[uint64]float64 // per GPU: word address -> value
-	queues   []*publishQueue      // per GPU
-	subs     map[uint64]uint64    // page -> subscriber bitmask
-	defSubs  uint64               // default: all GPUs
+	replicas []map[uint64]float64      // per GPU: word address -> value
+	queues   []*core.WriteQueue        // per GPU
+	pending  []map[uint64]*pendingLine // per GPU: queued line -> its values
+	subs     map[uint64]uint64         // page -> subscriber bitmask
+	defSubs  uint64                    // default: all GPUs
 
 	// Delivered counts lines delivered to remote replicas (traffic proxy).
 	Delivered uint64
 }
 
-// pendingLine is the coalescing buffer for one queued cache line: a dense
+// pendingLine holds the values of one queued cache line: a dense
 // word-value vector plus a bitmap of which words the GPU actually wrote.
-// Delivery walks the set bits in ascending word order, replacing the old
-// per-line hash map on the store hot path.
 type pendingLine struct {
 	mask []uint64  // bitmap over word slots
 	vals []float64 // indexed by word offset within the line
-}
-
-// publishQueue coalesces pending line writes in insertion order.
-type publishQueue struct {
-	order []uint64                // line addresses, least recently added first
-	lines map[uint64]*pendingLine // resident lines
-	free  []*pendingLine          // drained buffers, recycled by the next store
-	last  uint64                  // most recently stored-to line...
-	lastP *pendingLine            // ...and its buffer (consecutive-store cache)
 }
 
 // NewMachine builds a machine with all GPUs subscribed to every page.
@@ -62,41 +60,26 @@ func NewMachine(n int, pageBytes, lineBytes uint64) (*Machine, error) {
 	if n < 1 || n > 64 {
 		return nil, fmt.Errorf("funcsim: %d GPUs out of range", n)
 	}
-	if lineBytes == 0 || lineBytes&(lineBytes-1) != 0 || pageBytes%lineBytes != 0 {
-		return nil, fmt.Errorf("funcsim: invalid geometry page=%d line=%d", pageBytes, lineBytes)
-	}
-	wpl := int(lineBytes / wordBytes)
-	if wpl == 0 {
-		wpl = 1 // sub-word lines degenerate to one word per line
+	gpu := gpuconf.GV100()
+	geom, err := memsys.NewGeometry(pageBytes, lineBytes, gpu.VirtualAddrBits, gpu.PhysicalAddrBits)
+	if err != nil {
+		return nil, fmt.Errorf("funcsim: %w", err)
 	}
 	m := &Machine{
 		n:            n,
-		pageBytes:    pageBytes,
-		lineBytes:    lineBytes,
-		wordsPerLine: wpl,
+		geom:         geom,
+		wordsPerLine: max(1, int(lineBytes/wordBytes)), // sub-word lines hold one word
 		subs:         map[uint64]uint64{},
 		defSubs:      allMask(n),
 	}
+	gps := gpuconf.DefaultGPS()
 	for g := 0; g < n; g++ {
 		m.replicas = append(m.replicas, map[uint64]float64{})
-		m.queues = append(m.queues, &publishQueue{lines: map[uint64]*pendingLine{}})
+		m.pending = append(m.pending, map[uint64]*pendingLine{})
+		m.queues = append(m.queues, core.NewWriteQueue(geom, gps.WriteQueueEntries, gps.HighWatermark,
+			func(line memsys.VAddr) { m.deliver(g, uint64(line)) }))
 	}
 	return m, nil
-}
-
-// get returns a cleared pendingLine, recycling a drained buffer when one is
-// available.
-func (q *publishQueue) get(words int) *pendingLine {
-	if n := len(q.free); n > 0 {
-		p := q.free[n-1]
-		q.free = q.free[:n-1]
-		clear(p.mask)
-		return p
-	}
-	return &pendingLine{
-		mask: make([]uint64, (words+63)/64),
-		vals: make([]float64, words),
-	}
 }
 
 func allMask(n int) uint64 {
@@ -119,14 +102,14 @@ func (m *Machine) SetSubscribers(base, size uint64, gpus ...int) error {
 		}
 		mask |= 1 << g
 	}
-	for p := base / m.pageBytes; p <= (base+size-1)/m.pageBytes; p++ {
+	for p := base / m.geom.PageBytes; p <= (base+size-1)/m.geom.PageBytes; p++ {
 		m.subs[p] = mask
 	}
 	return nil
 }
 
 func (m *Machine) subscribers(addr uint64) uint64 {
-	if mask, ok := m.subs[addr/m.pageBytes]; ok {
+	if mask, ok := m.subs[addr/m.geom.PageBytes]; ok {
 		return mask
 	}
 	return m.defSubs
@@ -136,44 +119,51 @@ func (m *Machine) subscribed(gpu int, addr uint64) bool {
 	return m.subscribers(addr)&(1<<gpu) != 0
 }
 
-func checkAligned(addr uint64) {
+// locate checks that addr is word-aligned and splits it into its line
+// address and its word's offset within that line.
+func (m *Machine) locate(addr uint64) (line, w uint64) {
 	if addr%wordBytes != 0 {
 		panic(fmt.Sprintf("funcsim: unaligned word address %#x", addr))
 	}
+	line = uint64(m.geom.LineBase(memsys.VAddr(addr)))
+	return line, (addr - line) / wordBytes
 }
 
 // Store performs a weak store by gpu: the local replica (if subscribed)
 // updates immediately — a GPU always reads its own writes — and the line
-// enters the publish queue for eventual replication to remote subscribers.
+// enters gpu's write queue for eventual replication to remote subscribers.
 func (m *Machine) Store(gpu int, addr uint64, v float64) {
-	checkAligned(addr)
+	line, w := m.locate(addr)
 	if m.subscribed(gpu, addr) {
 		m.replicas[gpu][addr] = v
 	}
-	q := m.queues[gpu]
-	line := addr &^ (m.lineBytes - 1)
-	p := q.lastP
-	if p == nil || q.last != line {
-		p = q.lines[line]
-		if p == nil {
-			p = q.get(m.wordsPerLine)
-			q.lines[line] = p
-			q.order = append(q.order, line)
+	p, queued := m.pending[gpu][line]
+	if !queued {
+		p = &pendingLine{
+			mask: make([]uint64, (m.wordsPerLine+63)/64),
+			vals: make([]float64, m.wordsPerLine),
 		}
-		q.last, q.lastP = line, p
+		m.pending[gpu][line] = p
 	}
-	w := (addr - line) / wordBytes
 	p.mask[w>>6] |= 1 << (w & 63)
 	p.vals[w] = v
+	if m.queues[gpu].PushStore(memsys.VAddr(addr)) != queued {
+		panic(fmt.Sprintf("funcsim: GPU %d line %#x: queue and values disagree on residency", gpu, line))
+	}
 }
 
-// Load performs a load by gpu: from the local replica when subscribed,
-// otherwise remotely from the lowest-numbered subscriber (Section 3.2: a
-// non-subscriber load does not fault, it issues remotely).
+// Load performs a load by gpu: from the local replica when subscribed.
+// Otherwise a word pending in gpu's own write queue forwards from there
+// (Section 5.1), and any other word is read remotely from the
+// lowest-numbered subscriber (Section 3.2: a non-subscriber load does not
+// fault, it issues remotely).
 func (m *Machine) Load(gpu int, addr uint64) float64 {
-	checkAligned(addr)
+	line, w := m.locate(addr)
 	if m.subscribed(gpu, addr) {
 		return m.replicas[gpu][addr]
+	}
+	if p := m.pending[gpu][line]; p != nil && p.mask[w>>6]&(1<<(w&63)) != 0 {
+		return p.vals[w]
 	}
 	host := bits.TrailingZeros64(m.subscribers(addr))
 	if host >= m.n {
@@ -185,28 +175,10 @@ func (m *Machine) Load(gpu int, addr uint64) float64 {
 // Drain delivers gpu's least recently added queued line to every remote
 // subscriber (the watermark drain path). It reports whether anything
 // drained.
-func (m *Machine) Drain(gpu int) bool {
-	q := m.queues[gpu]
-	if len(q.order) == 0 {
-		return false
-	}
-	line := q.order[0]
-	q.order = q.order[1:]
-	p := q.lines[line]
-	m.deliver(gpu, line, p)
-	delete(q.lines, line)
-	q.free = append(q.free, p)
-	if q.last == line {
-		q.lastP = nil // the recycled buffer must not shadow a future store
-	}
-	return true
-}
+func (m *Machine) Drain(gpu int) bool { return m.queues[gpu].Drain() }
 
 // Flush drains gpu's entire queue in insertion order (a sys-scoped fence).
-func (m *Machine) Flush(gpu int) {
-	for m.Drain(gpu) {
-	}
-}
+func (m *Machine) Flush(gpu int) { m.queues[gpu].Flush() }
 
 // Barrier is the global synchronization ending a phase: every GPU's queue
 // flushes and delivers (the implicit sys-scoped release at the end of every
@@ -217,7 +189,11 @@ func (m *Machine) Barrier() {
 	}
 }
 
-func (m *Machine) deliver(src int, line uint64, p *pendingLine) {
+// deliver is src's write-queue drain sink: it writes the queued values of
+// line into every remote subscriber's replica and forgets them.
+func (m *Machine) deliver(src int, line uint64) {
+	p := m.pending[src][line]
+	delete(m.pending[src], line)
 	mask := m.subscribers(line)
 	for dst := 0; dst < m.n; dst++ {
 		if dst == src || mask&(1<<dst) == 0 {
@@ -236,7 +212,7 @@ func (m *Machine) deliver(src int, line uint64, p *pendingLine) {
 }
 
 // PendingLines returns the number of lines still queued on gpu.
-func (m *Machine) PendingLines(gpu int) int { return len(m.queues[gpu].order) }
+func (m *Machine) PendingLines(gpu int) int { return m.queues[gpu].Len() }
 
 // ReplicasConsistent reports whether, for every address any GPU holds, all
 // subscribers of that address agree on the value. Only meaningful at

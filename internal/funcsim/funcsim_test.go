@@ -107,6 +107,30 @@ func TestNonSubscriberStoreStillPublishes(t *testing.T) {
 	}
 }
 
+// Section 5.1: a non-subscriber's load forwards a word pending in its own
+// write queue, as the GPS timing model does, so a GPU reads its own write
+// before the write reaches any subscriber.
+func TestNonSubscriberReadsOwnQueuedWrite(t *testing.T) {
+	m := newMachine(t, 4)
+	if err := m.SetSubscribers(0, 64<<10, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	m.Store(0, 0, 9) // GPU 0 is not subscribed; the line stays queued
+	if got := m.Load(0, 0); got != 9 {
+		t.Fatalf("non-subscriber read its queued write as %v, want 9", got)
+	}
+	// A word of the same line that GPU 0 did not write still reads remotely.
+	m.Store(1, 8, 5)
+	m.Barrier()
+	m.Store(0, 0, 10)
+	if got := m.Load(0, 8); got != 5 {
+		t.Fatalf("unwritten word of a queued line read %v, want the subscriber's 5", got)
+	}
+	if got := m.Load(1, 0); got != 9 {
+		t.Fatalf("subscriber saw %v before the drain, want the delivered 9", got)
+	}
+}
+
 func TestReplicasConsistentDetectsDivergence(t *testing.T) {
 	m := newMachine(t, 2)
 	m.Store(0, 0, 1)
