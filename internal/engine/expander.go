@@ -1,6 +1,10 @@
 package engine
 
-import "gps/internal/trace"
+import (
+	"math/bits"
+
+	"gps/internal/trace"
+)
 
 // Span is n consecutive cache lines, starting at line-aligned address Line,
 // that one GPU touches with one op and scope, in order: the lines Line,
@@ -106,22 +110,39 @@ func (e *Expander) laneLines(a trace.Access) []uint64 {
 	lines := e.lanes[:0]
 	switch a.Pattern {
 	case trace.PatStrided:
+		// Stride is unsigned, so lane lines never decrease and a repeated
+		// line can only repeat the last one emitted. Addresses that wrap
+		// past 2^64 repeat no line either: 31 strides span under 2^37 bytes.
+		va := a.Addr
 		for lane := 0; lane < int(a.Threads); lane++ {
-			va := a.Addr + uint64(lane)*uint64(a.Stride)
-			lines = dedupe(lines, va&^(LineBytes-1))
+			if line := va &^ (LineBytes - 1); len(lines) == 0 || lines[len(lines)-1] != line {
+				lines = append(lines, line)
+			}
+			va += uint64(a.Stride)
 		}
 	case trace.PatScattered:
 		// trace.Validate rejects Stride == 0, but the expander must also hold
 		// up against hand-built traces that skipped validation: an empty
-		// window degenerates to a single line rather than a % 0 panic.
-		window := uint64(a.Stride)
-		if window == 0 {
-			window = 1
-		}
+		// window degenerates to a single line rather than a divide by 0.
+		window := max(uint64(a.Stride), 1)
+		// h % window for 32-bit h and window, by Lemire's fastmod: the
+		// reciprocal wraps to 0 for window 1, which yields index 0.
+		recip := ^uint64(0)/window + 1
+		base := a.Addr &^ (LineBytes - 1)
+		// seen filters window indices by their low 12 bits: a clear bit
+		// means the index is new. Distinct indices give distinct lines
+		// (window*LineBytes < 2^64), so only a set bit needs the scan, and
+		// in a window of up to 4096 lines only a repeated index sets one.
+		var seen [64]uint64
 		for lane := 0; lane < int(a.Threads); lane++ {
-			h := splitmix32(a.Seed + uint32(lane)*0x9e3779b9)
-			lineIdx := uint64(h) % window
-			lines = dedupe(lines, a.Addr&^(LineBytes-1)+lineIdx*LineBytes)
+			idx, _ := bits.Mul64(recip*uint64(splitmix32(a.Seed+uint32(lane)*0x9e3779b9)), window)
+			line := base + idx*LineBytes
+			if w, bit := &seen[idx>>6&63], uint64(1)<<(idx&63); *w&bit == 0 {
+				*w |= bit
+				lines = append(lines, line)
+			} else {
+				lines = dedupe(lines, line)
+			}
 		}
 	}
 	e.lanes = lines
@@ -170,8 +191,9 @@ func (e *Expander) pageLines(first uint64, n uint32) uint32 {
 	return uint32(min(uint64(n), (1<<e.pageShift-first&(1<<e.pageShift-1))/LineBytes))
 }
 
-// dedupe appends a line unless the coalescer already emitted it for this
-// instruction (linear scan: at most 32 entries).
+// dedupe appends line unless lines already holds it, by a linear scan of
+// the instruction's lines so far (at most 31). It is the exact fallback of
+// the scattered path's filter, run only for a lane whose filter bit is set.
 func dedupe(lines []uint64, line uint64) []uint64 {
 	for _, l := range lines {
 		if l == line {

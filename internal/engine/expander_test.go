@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +131,78 @@ func TestExpandFence(t *testing.T) {
 	}
 }
 
+// referenceLaneLines is the coalescer's per-lane expansion written plainly:
+// each lane's line by a 64-bit modulo or a stride, kept when no earlier lane
+// of the instruction presented it (a linear scan).
+func referenceLaneLines(a trace.Access) []uint64 {
+	var lines []uint64
+	for lane := uint64(0); lane < uint64(a.Threads); lane++ {
+		var line uint64
+		switch a.Pattern {
+		case trace.PatStrided:
+			line = (a.Addr + lane*uint64(a.Stride)) &^ (LineBytes - 1)
+		case trace.PatScattered:
+			window := max(uint64(a.Stride), 1)
+			h := splitmix32(a.Seed + uint32(lane)*0x9e3779b9)
+			line = a.Addr&^(LineBytes-1) + uint64(h)%window*LineBytes
+		}
+		dup := false
+		for _, l := range lines {
+			dup = dup || l == line
+		}
+		if !dup {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// TestLaneLinesMatchReference checks laneLines element by element against
+// the plain expansion over seeded random strided and scattered accesses:
+// every lane count; scattered windows from degenerate through collision-
+// heavy to either side of the filter's 4096 indices and the widest; strides from 0 through
+// sub-line, line-sized and the widest, with addresses near 2^64 so strided
+// lanes wrap.
+func TestLaneLinesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	e := NewExpander(NewRegionTable(nil), 64<<10)
+	windows := []uint32{0, 1, 255, 256, 257, 4096, 4097, 8192, 1<<32 - 1}
+	for w := uint32(2); w <= 64; w++ {
+		windows = append(windows, w)
+	}
+	strides := []uint32{0, 128, 129, 4096, 1<<32 - 1}
+	for s := uint32(1); s <= 127; s++ {
+		strides = append(strides, s)
+	}
+	addr := func() uint64 {
+		if rng.Intn(2) == 0 {
+			return -uint64(rng.Int63n(1 << 38)) // near 2^64: strided lanes wrap
+		}
+		return rng.Uint64()
+	}
+	check := func(a trace.Access) {
+		t.Helper()
+		got, want := e.laneLines(a), referenceLaneLines(a)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%+v:\nlaneLines %v\nreference %v", a, got, want)
+		}
+	}
+	for threads := uint8(1); threads <= 32; threads++ {
+		for _, w := range windows {
+			for i := 0; i < 50; i++ {
+				check(trace.Access{Op: trace.OpStore, Pattern: trace.PatScattered, Threads: threads,
+					ElemBytes: 4, Stride: w, Seed: rng.Uint32(), Addr: addr()})
+			}
+		}
+		for _, s := range strides {
+			for i := 0; i < 10; i++ {
+				check(trace.Access{Op: trace.OpLoad, Pattern: trace.PatStrided, Threads: threads,
+					ElemBytes: 4, Stride: s, Addr: addr()})
+			}
+		}
+	}
+}
+
 // Property: every expanded line is line-aligned, unique, and within the
 // instruction's reachable footprint.
 func TestExpandProperty(t *testing.T) {
@@ -232,13 +306,22 @@ func BenchmarkExpandContiguous(b *testing.B) {
 	}
 }
 
+// BenchmarkExpandScattered expands the workloads' scattered shape: a run
+// of 64 full-warp records over a 4096-line window whose seeds step by the
+// generator's 2654435761, and reports lines per second.
 func BenchmarkExpandScattered(b *testing.B) {
 	e := NewExpander(NewRegionTable(nil), 64<<10)
-	a := trace.Access{Op: trace.OpAtomic, Pattern: trace.PatScattered, Threads: 32, ElemBytes: 4, Stride: 4096, Addr: 0}
+	r := trace.Run{A: trace.Access{Op: trace.OpAtomic, Pattern: trace.PatScattered, Threads: 32, ElemBytes: 4,
+		Stride: 4096, Addr: 1 << 33}, N: 64, SeedStep: 2654435761}
 	var spans []Span
+	lines := 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Seed = uint32(i)
-		spans = e.AppendSpans(spans[:0], trace.Run{A: a, N: 1})
+		r.A.Seed = uint32(i) * 64 * r.SeedStep
+		spans = e.AppendSpans(spans[:0], r)
+		for _, s := range spans {
+			lines += int(s.N)
+		}
 	}
+	b.ReportMetric(float64(lines)/b.Elapsed().Seconds(), "lines/s")
 }

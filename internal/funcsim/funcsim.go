@@ -90,10 +90,16 @@ func allMask(n int) uint64 {
 }
 
 // SetSubscribers pins the subscriber set for every page overlapping
-// [base, base+size).
+// [base, base+size). A GPU new to a page's set gets its replica of the page
+// copied from an existing subscriber, as a GPS subscription does. It is an
+// error while any GPU still queues a line of those pages: the line's
+// delivery would split between the old set and the new one.
 func (m *Machine) SetSubscribers(base, size uint64, gpus ...int) error {
 	if len(gpus) == 0 {
 		return fmt.Errorf("funcsim: empty subscriber set")
+	}
+	if size == 0 {
+		return fmt.Errorf("funcsim: empty address range")
 	}
 	var mask uint64
 	for _, g := range gpus {
@@ -102,10 +108,36 @@ func (m *Machine) SetSubscribers(base, size uint64, gpus ...int) error {
 		}
 		mask |= 1 << g
 	}
-	for p := base / m.geom.PageBytes; p <= (base+size-1)/m.geom.PageBytes; p++ {
+	first, last := base/m.geom.PageBytes, (base+size-1)/m.geom.PageBytes
+	for g, lines := range m.pending {
+		for line := range lines {
+			if p := line / m.geom.PageBytes; p >= first && p <= last {
+				return fmt.Errorf("funcsim: GPU %d still queues line %#x of page %d", g, line, p)
+			}
+		}
+	}
+	for p := first; p <= last; p++ {
+		old := m.subscribers(p * m.geom.PageBytes)
+		src := bits.TrailingZeros64(old)
+		for added := mask &^ old; added != 0; added &= added - 1 {
+			m.copyPage(bits.TrailingZeros64(added), src, p)
+		}
 		m.subs[p] = mask
 	}
 	return nil
+}
+
+// copyPage makes dst's replica of page p equal src's, absent words
+// included.
+func (m *Machine) copyPage(dst, src int, p uint64) {
+	for off := uint64(0); off < m.geom.PageBytes; off += wordBytes {
+		a := p*m.geom.PageBytes + off
+		if v, ok := m.replicas[src][a]; ok {
+			m.replicas[dst][a] = v
+		} else {
+			delete(m.replicas[dst], a)
+		}
+	}
 }
 
 func (m *Machine) subscribers(addr uint64) uint64 {
@@ -215,8 +247,9 @@ func (m *Machine) deliver(src int, line uint64) {
 func (m *Machine) PendingLines(gpu int) int { return m.queues[gpu].Len() }
 
 // ReplicasConsistent reports whether, for every address any GPU holds, all
-// subscribers of that address agree on the value. Only meaningful at
-// barriers (between them, staleness is allowed by the memory model).
+// subscribers of that address agree on the value; a subscriber that holds
+// no value for the address reads it as 0. Only meaningful at barriers
+// (between them, staleness is allowed by the memory model).
 func (m *Machine) ReplicasConsistent() error {
 	addrs := map[uint64]bool{}
 	for g := 0; g < m.n; g++ {
@@ -231,21 +264,11 @@ func (m *Machine) ReplicasConsistent() error {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for _, a := range sorted {
 		mask := m.subscribers(a)
-		ref, refSet := 0.0, false
+		ref := m.replicas[bits.TrailingZeros64(mask)][a]
 		for g := 0; g < m.n; g++ {
-			if mask&(1<<g) == 0 {
-				continue
-			}
-			v, ok := m.replicas[g][a]
-			if !ok {
-				continue
-			}
-			if !refSet {
-				ref, refSet = v, true
-				continue
-			}
-			if v != ref {
-				return fmt.Errorf("funcsim: replicas diverge at %#x: %v vs %v", a, ref, v)
+			if mask&(1<<g) != 0 && m.replicas[g][a] != ref {
+				return fmt.Errorf("funcsim: replicas diverge at %#x: GPU %d holds %v, GPU %d holds %v",
+					a, bits.TrailingZeros64(mask), ref, g, m.replicas[g][a])
 			}
 		}
 	}

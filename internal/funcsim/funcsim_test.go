@@ -131,6 +131,63 @@ func TestNonSubscriberReadsOwnQueuedWrite(t *testing.T) {
 	}
 }
 
+// A GPU subscribed to a page after the page was written gets the page's
+// values from an existing subscriber, as a GPS subscription copies it.
+func TestNewSubscriberReadsPublishedValues(t *testing.T) {
+	m := newMachine(t, 2)
+	if err := m.SetSubscribers(0, 64<<10, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.Store(0, 0, 5)
+	m.Barrier()
+	if err := m.SetSubscribers(0, 64<<10, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Load(1, 0); got != 5 {
+		t.Fatalf("new subscriber GPU 1 read %v, want 5", got)
+	}
+	if err := m.ReplicasConsistent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Changing a page's subscribers while a line of it is queued would split
+// the line's delivery between the old set and the new one.
+func TestSetSubscribersRejectsQueuedLines(t *testing.T) {
+	m := newMachine(t, 2)
+	m.Store(1, 64<<10+8, 3) // a line of page 1 stays queued
+	if err := m.SetSubscribers(64<<10, 1, 0); err == nil {
+		t.Fatal("subscriber change accepted with a line of the page queued")
+	}
+	if err := m.SetSubscribers(0, 64<<10, 0); err != nil {
+		t.Fatalf("page 0 holds no queued line: %v", err)
+	}
+	m.Barrier()
+	if err := m.SetSubscribers(64<<10, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Load(1, 64<<10+8); got != 3 {
+		t.Fatalf("GPU 1 read %v remotely, want 3", got)
+	}
+}
+
+// A subscriber with no value for a word another subscriber holds reads it
+// as 0, so the replicas diverge unless the other value is 0 too.
+func TestReplicasConsistentComparesAbsentWords(t *testing.T) {
+	m := newMachine(t, 2)
+	m.Store(0, 0, 1)
+	m.Store(0, 8, 0)
+	m.Barrier()
+	delete(m.replicas[1], 8)
+	if err := m.ReplicasConsistent(); err != nil {
+		t.Fatalf("an absent word diverges from a stored 0: %v", err)
+	}
+	delete(m.replicas[1], 0)
+	if err := m.ReplicasConsistent(); err == nil {
+		t.Fatal("a subscriber missing a written word went undetected")
+	}
+}
+
 func TestReplicasConsistentDetectsDivergence(t *testing.T) {
 	m := newMachine(t, 2)
 	m.Store(0, 0, 1)
@@ -297,6 +354,9 @@ func TestMachineValidation(t *testing.T) {
 	}
 	if err := m.SetSubscribers(0, 1); err == nil {
 		t.Fatal("empty subscriber set accepted")
+	}
+	if err := m.SetSubscribers(0, 0, 1); err == nil {
+		t.Fatal("empty address range accepted")
 	}
 	defer func() {
 		if recover() == nil {

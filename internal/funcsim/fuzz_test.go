@@ -18,9 +18,12 @@ const (
 // runRandomProgram runs a seeded barrier-synchronized program: phases of
 // stores, loads, Drain, Flush and SetSubscribers calls, with one owner per
 // word per phase, each phase ending in a Barrier. Within a phase every
-// owner must read its own latest value; after every barrier the queues are
-// empty and every subscriber's replica equals a flat reference memory. It
-// returns the machine and how many explicit Drain calls drained a line.
+// owner must read its own latest value, and SetSubscribers must fail
+// exactly when some GPU queues a line of the page. After every barrier the
+// queues are empty and every subscriber's replica equals a flat reference
+// memory, also after the barrier moves pages to new subscriber sets, wider
+// or narrower. It returns the machine and how many explicit Drain calls
+// drained a line.
 func runRandomProgram(t *testing.T, seed int64, gpus, phases int) (*Machine, uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -28,26 +31,36 @@ func runRandomProgram(t *testing.T, seed int64, gpus, phases int) (*Machine, uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	// funcsim's SetSubscribers moves no data: a new subscriber's replica
-	// starts empty. So pages get arbitrary subscriber sets only before any
-	// store, and later calls narrow a page to a subset of its subscribers.
 	subs := make([]uint64, fuzzPages)
-	setSubs := func(page int, mask uint64) {
+	// setSubs moves page to a random nonempty subscriber set and reports
+	// whether the machine accepted it.
+	setSubs := func(page int) bool {
+		mask := 1 + uint64(rng.Int63n(int64(allMask(gpus))))
 		var list []int
 		for g := 0; g < gpus; g++ {
 			if mask&(1<<g) != 0 {
 				list = append(list, g)
 			}
 		}
-		if err := m.SetSubscribers(uint64(page)*fuzzPageBytes, fuzzPageBytes, list...); err != nil {
-			t.Fatal(err)
+		queued := false
+		for _, lines := range m.pending {
+			for line := range lines {
+				queued = queued || line/fuzzPageBytes == uint64(page)
+			}
 		}
-		subs[page] = mask
+		err := m.SetSubscribers(uint64(page)*fuzzPageBytes, fuzzPageBytes, list...)
+		if (err != nil) != queued {
+			t.Fatalf("SetSubscribers(page %d) = %v with a line of the page queued: %v", page, err, queued)
+		}
+		if err == nil {
+			subs[page] = mask
+		}
+		return err == nil
 	}
 	for p := range subs {
 		subs[p] = allMask(gpus)
 		if rng.Intn(2) == 0 {
-			setSubs(p, 1+uint64(rng.Int63n(int64(allMask(gpus)))))
+			setSubs(p)
 		}
 	}
 
@@ -80,13 +93,16 @@ func runRandomProgram(t *testing.T, seed int64, gpus, phases int) (*Machine, uin
 			case r < 9900:
 				m.Flush(rng.Intn(gpus))
 			default:
-				p := rng.Intn(fuzzPages)
-				if narrowed := subs[p] & uint64(rng.Int63()); narrowed != 0 {
-					setSubs(p, narrowed)
-				}
+				setSubs(rng.Intn(fuzzPages))
 			}
 		}
 		m.Barrier()
+		checkBarrier(t, m, phase, subs, ref, written)
+		for p := range subs {
+			if rng.Intn(4) == 0 && !setSubs(p) {
+				t.Fatalf("phase %d: SetSubscribers(page %d) failed after the barrier", phase, p)
+			}
+		}
 		checkBarrier(t, m, phase, subs, ref, written)
 	}
 	return m, explicit

@@ -153,11 +153,11 @@ func splitProgram(seed int64, gpus int) *trace.Recorded {
 					a.Addr += 64
 				case 2: // several records per line
 					a.Threads, step = 8, 32
-				case 3:
-					a.Pattern, a.Stride = trace.PatStrided, uint32(32+rng.Intn(8192))
+				case 3: // sub-line strides merge lanes
+					a.Pattern, a.Stride = trace.PatStrided, uint32(rng.Intn(8193))
 					a.Threads = uint8(1 + rng.Intn(32))
-				case 4:
-					a.Pattern, a.Stride = trace.PatScattered, uint32(1+rng.Intn(3000))
+				case 4: // small windows repeat lines
+					a.Pattern, a.Stride = trace.PatScattered, uint32(1+rng.Intn([]int{64, 3000}[rng.Intn(2)]))
 					for ; n > 0; n-- {
 						a.Seed = rng.Uint32()
 						enc.Append(a)
