@@ -2,16 +2,15 @@
 
 GO ?= go
 
-.PHONY: check vet build race test bench-smoke bench-micro bench-record serve-smoke chaos obs-smoke spill-smoke cluster-smoke trace-cluster-smoke benchgate
+.PHONY: check vet build race test bench-smoke bench-micro bench-record serve-smoke chaos obs-smoke cluster-smoke trace-cluster-smoke benchgate
 
 ## check: full gate — vet, build, the test suite under the race detector,
 ## the microbenchmark compile/run smoke, the chaos gate (fault injection,
 ## fuzzing, crash recovery), the observability smoke (span traces), the
-## trace-spill smoke (tiny -trace-budget forcing disk spill), the
 ## 3-node cluster smoke (routing, coalescing, owner kill), the distributed
 ## tracing smoke (one cross-node trace through tracelint -cluster), and the
 ## perf regression gate against the committed BENCH baseline.
-check: vet build race bench-micro chaos obs-smoke spill-smoke cluster-smoke trace-cluster-smoke benchgate
+check: vet build race bench-micro chaos obs-smoke cluster-smoke trace-cluster-smoke benchgate
 
 ## vet: static checks — go vet plus a gofmt cleanliness gate (gofmt ships
 ## with the toolchain, so this adds no dependency).
@@ -60,13 +59,6 @@ serve-smoke:
 ## emitted Perfetto trace (balanced events, category nesting) via tracelint.
 obs-smoke:
 	sh scripts/obs_smoke.sh
-
-## spill-smoke: run a small figure with a trace budget far below any quick
-## trace's compressed footprint, so the cache spills every trace to disk and
-## replays read blocks back; reportlint asserts from the JSON report that the
-## spill tier actually ran and the figures still rendered.
-spill-smoke:
-	sh scripts/spill_smoke.sh
 
 ## cluster-smoke: boot a 3-node local cluster, submit through a non-owner,
 ## then permanently SIGKILL an owner mid-queue and assert the self-healing

@@ -47,7 +47,7 @@ func main() {
 		rep      = flag.String("report", "", "write a full markdown report to this file")
 		chart    = flag.Bool("chart", false, "also render line-chart views of figures 13 and 14")
 		parallel = flag.Int("parallel", 0, "experiment worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		budget   = flag.Int64("trace-budget", 0, "trace cache resident byte budget; compressed blocks spill to a temp file beyond it (0 = default 4 GiB)")
+		budget   = flag.Int64("trace-budget", 0, "trace cache resident byte budget; past it the least-recently-used traces are evicted and rebuilt on next use (0 = default 4 GiB)")
 		jsonOut  = flag.String("json", "", "write headline metrics, per-figure wall clock, rendered tables and cache stats as JSON to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (taken at exit) to this file")

@@ -93,7 +93,7 @@ func main() {
 		probeIvl   = flag.Duration("probe-interval", 2*time.Second, "peer healthz liveness probe interval (cluster mode)")
 		stealIvl   = flag.Duration("steal-interval", time.Second, "work-steal attempt interval when idle; negative disables stealing (cluster mode)")
 		suspicion  = flag.Int("suspicion", 3, "consecutive failed probes before a peer is declared dead (cluster mode)")
-		budget     = flag.Int64("trace-budget", 0, "trace cache resident byte budget; compressed blocks spill to a temp file beyond it (0 = default 4 GiB)")
+		budget     = flag.Int64("trace-budget", 0, "trace cache resident byte budget; past it the least-recently-used traces are evicted and rebuilt on next use (0 = default 4 GiB)")
 	)
 	flag.Parse()
 

@@ -79,9 +79,9 @@ func runConcurrently(t *testing.T, prog trace.Program, kind paradigm.Kind, n int
 }
 
 // TestRunFusedMatchesRun proves that one fused replay of every paradigm
-// equals each paradigm's lone Run, on columnar and on spilled traces, and
-// that two fused replays running at once over one shared Program (as two
-// runner workers replaying two groups of a cached trace) do too.
+// equals each paradigm's lone Run, and that two fused replays running at
+// once over one shared Program (as two runner workers replaying two groups
+// of a cached trace) do too.
 func TestRunFusedMatchesRun(t *testing.T) {
 	cfg := workload.Config{NumGPUs: 4, Iterations: 1, Scale: 1, Seed: 1}
 	kinds := paradigm.Kinds()
@@ -90,49 +90,35 @@ func TestRunFusedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		columnar := trace.Collect(spec.Build(cfg))
-		spilled := trace.Collect(spec.Build(cfg))
-		sf, err := trace.NewSpillFile(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sf.Close()
-		if freed, err := spilled.Spill(sf); err != nil || freed == 0 {
-			t.Fatalf("spill: freed %d, err %v", freed, err)
-		}
+		prog := trace.Collect(spec.Build(cfg))
 		want := make([]*engine.Result, len(kinds))
 		for i, kind := range kinds {
-			want[i] = runOnce(t, columnar, kind)
+			want[i] = runOnce(t, prog, kind)
 		}
-		for _, v := range []struct {
-			name string
-			prog trace.Program
-		}{{"columnar", columnar}, {"spilled", spilled}} {
-			t.Run(app+"/"+v.name, func(t *testing.T) {
-				check := func(label string, got []*engine.Result) {
-					for i, kind := range kinds {
-						if !reflect.DeepEqual(want[i], got[i]) {
-							t.Errorf("%s: %s diverges from its lone Run\nrun:   %+v\nfused: %+v", label, kind, want[i], got[i])
-						}
+		t.Run(app+"/columnar", func(t *testing.T) {
+			check := func(label string, got []*engine.Result) {
+				for i, kind := range kinds {
+					if !reflect.DeepEqual(want[i], got[i]) {
+						t.Errorf("%s: %s diverges from its lone Run\nrun:   %+v\nfused: %+v", label, kind, want[i], got[i])
 					}
 				}
-				check("fused", engine.RunFused(v.prog, newModels(t, v.prog, kinds), nil))
-				got := make([][]*engine.Result, 2)
-				models := [][]engine.Model{newModels(t, v.prog, kinds), newModels(t, v.prog, kinds)}
-				var wg sync.WaitGroup
-				for i := range got {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						got[i] = engine.RunFused(v.prog, models[i], nil)
-					}(i)
-				}
-				wg.Wait()
-				for i := range got {
-					check(fmt.Sprintf("concurrent fused %d", i), got[i])
-				}
-			})
-		}
+			}
+			check("fused", engine.RunFused(prog, newModels(t, prog, kinds), nil))
+			got := make([][]*engine.Result, 2)
+			models := [][]engine.Model{newModels(t, prog, kinds), newModels(t, prog, kinds)}
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i] = engine.RunFused(prog, models[i], nil)
+				}(i)
+			}
+			wg.Wait()
+			for i := range got {
+				check(fmt.Sprintf("concurrent fused %d", i), got[i])
+			}
+		})
 	}
 }
 

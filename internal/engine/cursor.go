@@ -37,10 +37,10 @@ func (c *blockCursor) reset(k *trace.Kernel) {
 // window returns records [start, end) as runs clipped to the window. Both
 // bounds must fall inside one block (guaranteed by chunk | BlockAccesses),
 // and windows must be requested in increasing order within a block. The
-// slice is valid until the next window call on this cursor. Decode and
-// spill-read failures panic — the engine has no error path per access,
-// traces are validated at construction, and the experiment runner's panic
-// fences turn the panic into a typed cell error.
+// slice is valid until the next window call on this cursor. A decode
+// failure panics — the engine has no error path per access, blocks are
+// validated when built or loaded and immutable after, and the experiment
+// runner's panic fences turn the panic into a typed cell error.
 func (c *blockCursor) window(start, end int) []trace.Run {
 	out := c.out[:0]
 	if bi := start / trace.BlockAccesses; bi != c.blockIdx {

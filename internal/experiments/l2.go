@@ -86,8 +86,8 @@ func simulateL2(spec workload.Spec, opt Options, gpus int) (float64, error) {
 	exp := engine.NewExpander(engine.NewRegionTable(meta.Regions), 2<<20)
 	var spans []engine.Span
 	var dec trace.BlockDecoder
-	var decErr error
-	prog.Phases(func(ph *trace.Phase) bool {
+	for pi := range prog.Ph {
+		ph := &prog.Ph[pi]
 		if ph.Index == meta.ProfilePhases {
 			// Steady state begins: measure from here.
 			for _, p := range paths {
@@ -97,10 +97,14 @@ func simulateL2(spec workload.Spec, opt Options, gpus int) (float64, error) {
 		for ki := range ph.Kernels {
 			k := &ph.Kernels[ki]
 			path := paths[k.GPU]
-			decErr = k.EachBlock(&dec, func(accs []trace.Access) bool {
+			for bi := 0; bi < k.Col.NumBlocks(); bi++ {
+				runs, err := dec.DecodeRuns(k.Col, bi)
+				if err != nil {
+					return 0, fmt.Errorf("experiments: %s: %w", spec.Name, err)
+				}
 				spans = spans[:0]
-				for _, a := range accs {
-					spans = exp.AppendSpans(spans, trace.Run{A: a, N: 1})
+				for _, r := range runs {
+					spans = exp.AppendSpans(spans, r)
 				}
 				for _, s := range spans {
 					for i := uint32(0); i < s.N; i++ {
@@ -112,16 +116,8 @@ func simulateL2(spec workload.Spec, opt Options, gpus int) (float64, error) {
 						}
 					}
 				}
-				return true
-			})
-			if decErr != nil {
-				return false
 			}
 		}
-		return true
-	})
-	if decErr != nil {
-		return 0, fmt.Errorf("experiments: %s: %w", spec.Name, decErr)
 	}
 	var sum float64
 	for _, p := range paths {

@@ -146,7 +146,7 @@ func TestCellErrorNamesTheCell(t *testing.T) {
 }
 
 // TestReplayPanicIsCachedAsError: a panic inside a cached computation —
-// here replaying a spilled trace whose spill file became unreadable — is
+// here replaying a cached trace with a kernel on a GPU it does not have — is
 // stored as the cache entry's typed error. Every cell that needs the key
 // then fails with that same error, at any worker count, whether it comes
 // through a matrix (as a CellError naming the cell) or RunCell, and the
@@ -161,34 +161,31 @@ func TestReplayPanicIsCachedAsError(t *testing.T) {
 		{App: "jacobi", Kind: paradigm.KindGPS, GPUs: 2, Fab: MainFabric(2), Opt: opt, Cfg: pcfg},
 		{App: "jacobi", Kind: paradigm.KindRDL, GPUs: 2, Fab: MainFabric(2), Opt: opt, Cfg: pcfg},
 	}
-	// brokenRunner caches the jacobi trace for gpus spilled to a spill file
-	// that is then closed, so replaying it panics on the first block read.
+	// brokenRunner caches the jacobi trace for gpus with its first kernel
+	// moved to GPU index NumGPUs, so replaying it panics when the engine
+	// indexes that kernel's phase profile.
 	brokenRunner := func(t *testing.T, workers, gpus int) *Runner {
 		r := NewRunner(workers)
 		r.SetCellRetry(retry.Policy{MaxAttempts: 1})
-		r.SetTraceBudget(1) // the trace spills as soon as it is built
-		if _, err := r.Trace("jacobi", opt.withDefaults().workloadConfig(gpus)); err != nil {
+		rec, err := r.Trace("jacobi", opt.withDefaults().workloadConfig(gpus))
+		if err != nil {
 			t.Fatal(err)
 		}
-		r.mu.Lock()
-		sf := r.spill
-		r.mu.Unlock()
-		if sf == nil {
-			t.Fatal("trace was not spilled")
-		}
-		sf.Close()
+		rec.Ph[0].Kernels[0].GPU = rec.M.NumGPUs
 		return r
 	}
-	isDecodePanic := func(ce *CellError) bool {
-		return ce.Stack != "" && strings.Contains(ce.Err.Error(), "decoding trace block")
+	// A fenced panic reaches the matrix as a CellError carrying the
+	// PanicError's stack, which must name the fused replay.
+	isReplayPanic := func(ce *CellError) bool {
+		return strings.Contains(ce.Stack, "engine.RunFused")
 	}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("cells/workers=%d", workers), func(t *testing.T) {
 			r := brokenRunner(t, workers, 2)
 			_, err := r.RunMatrix(context.Background(), cells)
 			var ce *CellError
-			if !errors.As(err, &ce) || ce.Index != 0 || ce.Desc != cells[0].describe() || !isDecodePanic(ce) {
-				t.Fatalf("matrix err = %v, want cell 0's CellError for the block decode panic", err)
+			if !errors.As(err, &ce) || ce.Index != 0 || ce.Desc != cells[0].describe() || !isReplayPanic(ce) {
+				t.Fatalf("matrix err = %v, want cell 0's CellError for the replay panic", err)
 			}
 			// Both cells need keys of the one failed replay group: each fails
 			// with the group's error, identically on every request.
@@ -214,12 +211,11 @@ func TestReplayPanicIsCachedAsError(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("baseline/workers=%d", workers), func(t *testing.T) {
 			r := brokenRunner(t, workers, 1)
-			// No cells: their trace would evict the broken one under the tiny
-			// budget, and a rebuilt trace replays fine.
+			// No cells: the baseline alone must fail with the replay panic.
 			_, _, err := r.RunMatrixWithBaselines(context.Background(), []string{"jacobi"}, opt, pcfg, nil)
 			var ce *CellError
-			if !errors.As(err, &ce) || ce.Index != 0 || ce.Desc != "baseline/jacobi" || !isDecodePanic(ce) {
-				t.Fatalf("matrix err = %v, want the baseline's CellError for the block decode panic", err)
+			if !errors.As(err, &ce) || ce.Index != 0 || ce.Desc != "baseline/jacobi" || !isReplayPanic(ce) {
+				t.Fatalf("matrix err = %v, want the baseline's CellError for the replay panic", err)
 			}
 			for round := 0; round < 2; round++ {
 				v, err := r.Baseline("jacobi", opt, pcfg)

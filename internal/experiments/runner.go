@@ -75,10 +75,6 @@ type CacheStats struct {
 	// 24 B/record layout: TraceLogicalBytes / TraceBytes is the columnar
 	// compression ratio of the cache.
 	TraceLogicalBytes uint64
-	TraceSpills       uint64 // traces whose blocks moved to the spill file under budget pressure
-	TraceSpillBytes   uint64 // compressed bytes written to the spill file
-	SpillBlockReads   uint64 // block reads served from the spill file during replay
-	SpillReadBytes    uint64 // bytes read back from the spill file
 	EngineRuns        uint64 // structural replays executed
 	EngineHits        uint64 // structural results served from cache
 	BaselineRuns      uint64 // single-GPU baseline simulations executed
@@ -96,7 +92,6 @@ type traceEntry struct {
 	err     error
 	cost    uint64 // approximate resident bytes once built
 	logical uint64 // flat 24 B/record equivalent bytes
-	spilled bool   // blocks moved to the runner's spill file
 	lastUse uint64 // monotone tick for LRU eviction
 }
 
@@ -170,19 +165,11 @@ type Runner struct {
 	baselines map[baselineKey]*baselineEntry
 	resident  uint64 // sum of built trace costs
 	logical   uint64 // sum of built traces' flat-equivalent bytes
-	budget    uint64 // spill/eviction threshold for resident
-
-	// spill is the shared anonymous temp file trace blocks move to under
-	// budget pressure, created lazily on the first spill. It is never closed
-	// explicitly: evicted traces may still be replaying from it, the file is
-	// already unlinked, and the fd is reclaimed with the Runner.
-	spill       *trace.SpillFile
-	spillBroken bool // spill file creation failed; fall back to eviction
+	budget    uint64 // eviction threshold for resident
 
 	traceBuilds    atomic.Uint64
 	traceHits      atomic.Uint64
 	traceEvictions atomic.Uint64
-	traceSpills    atomic.Uint64
 	engineRuns     atomic.Uint64
 	engineHits     atomic.Uint64
 	baselineRuns   atomic.Uint64
@@ -257,26 +244,18 @@ func (r *Runner) CacheStats() CacheStats {
 	r.mu.Lock()
 	resident := r.resident
 	logical := r.logical
-	sf := r.spill
 	r.mu.Unlock()
-	cs := CacheStats{
+	return CacheStats{
 		TraceBuilds:       r.traceBuilds.Load(),
 		TraceHits:         r.traceHits.Load(),
 		TraceEvictions:    r.traceEvictions.Load(),
 		TraceBytes:        resident,
 		TraceLogicalBytes: logical,
-		TraceSpills:       r.traceSpills.Load(),
 		EngineRuns:        r.engineRuns.Load(),
 		EngineHits:        r.engineHits.Load(),
 		BaselineRuns:      r.baselineRuns.Load(),
 		BaselineHits:      r.baselineHits.Load(),
 	}
-	if sf != nil {
-		cs.TraceSpillBytes = uint64(sf.Size())
-		cs.SpillBlockReads = sf.Reads()
-		cs.SpillReadBytes = sf.ReadBytes()
-	}
-	return cs
 }
 
 // ResetCaches drops all cached traces, structural results and baselines and
@@ -288,15 +267,10 @@ func (r *Runner) ResetCaches() {
 	r.baselines = map[baselineKey]*baselineEntry{}
 	r.resident = 0
 	r.logical = 0
-	// Drop the spill file reference: dropped traces may still be replaying
-	// from it, so the fd is left to the garbage collector rather than closed.
-	r.spill = nil
-	r.spillBroken = false
 	r.mu.Unlock()
 	r.traceBuilds.Store(0)
 	r.traceHits.Store(0)
 	r.traceEvictions.Store(0)
-	r.traceSpills.Store(0)
 	r.engineRuns.Store(0)
 	r.engineHits.Store(0)
 	r.baselineRuns.Store(0)
@@ -308,9 +282,8 @@ func (r *Runner) ResetCaches() {
 const accessBytes = 24
 
 // traceCost approximates the resident heap bytes of a materialized trace.
-// Kernels count their compressed block bytes — or just their block index
-// once spilled — so the cache budget admits far more traces than the flat
-// layout would.
+// Kernels count their compressed block bytes, so the cache budget admits
+// far more traces than the flat layout would.
 func traceCost(rec *trace.Recorded) uint64 {
 	var cost uint64 = 4 << 10
 	for i := range rec.Ph {
@@ -380,47 +353,11 @@ func (r *Runner) traceCtx(ctx context.Context, app string, cfg workload.Config) 
 	return e.rec, e.err
 }
 
-// evictLocked brings the cache back under budget in two passes. Pass 1
-// spills: the least-recently-used entries with resident columnar blocks
-// (including the entry just inserted — under a tiny budget even the newest
-// trace belongs on disk) move their blocks to the shared spill file, keeping
-// the trace cached and replayable at a fraction of the cost. Pass 2 evicts:
-// if spilling every candidate still leaves the cache over budget (flat
-// traces, the per-trace index overhead, or a broken spill file), the LRU
-// entries other than keep are dropped entirely and must be rebuilt on the
-// next request. Callers hold r.mu.
+// evictLocked brings the cache back under budget by dropping the
+// least-recently-used entries other than keep; a dropped trace is rebuilt
+// on its next request. Replays already holding it finish on their own
+// reference. Callers hold r.mu.
 func (r *Runner) evictLocked(keep traceKey) {
-	for r.resident > r.budget {
-		var victim *traceEntry
-		for _, e := range r.traces {
-			if e.cost == 0 || e.spilled || e.rec == nil { // cost 0: still building
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victim = e
-			}
-		}
-		if victim == nil {
-			break
-		}
-		victim.spilled = true
-		sf := r.spillFileLocked()
-		if sf == nil {
-			break // no spill tier available: eviction only
-		}
-		freed, err := victim.rec.Spill(sf)
-		if freed > 0 {
-			r.traceSpills.Add(1)
-		}
-		// Recompute rather than trust freed: a partial spill (write error)
-		// leaves some kernels resident, and the recompute prices exactly
-		// what stayed on the heap.
-		newCost := traceCost(victim.rec)
-		r.resident += newCost
-		r.resident -= victim.cost
-		victim.cost = newCost
-		_ = err // unreadable spilled blocks surface as cell errors at replay
-	}
 	for r.resident > r.budget && len(r.traces) > 1 {
 		var victimKey traceKey
 		var victim *traceEntry
@@ -440,21 +377,6 @@ func (r *Runner) evictLocked(keep traceKey) {
 		r.logical -= victim.logical
 		r.traceEvictions.Add(1)
 	}
-}
-
-// spillFileLocked lazily creates the runner's shared spill file; nil means
-// the spill tier is unavailable (creation failed once; do not retry per
-// victim). Callers hold r.mu.
-func (r *Runner) spillFileLocked() *trace.SpillFile {
-	if r.spill == nil && !r.spillBroken {
-		sf, err := trace.NewSpillFile("")
-		if err != nil {
-			r.spillBroken = true
-		} else {
-			r.spill = sf
-		}
-	}
-	return r.spill
 }
 
 // planLocked returns the result entry of key. A key nobody requested yet
@@ -523,7 +445,7 @@ func (r *Runner) replayGroups(ctx context.Context, groups []*replayGroup) {
 
 // replay fills every entry of g with one fused replay of its trace, at most
 // once; concurrent callers wait for the one run. A failure — a trace build
-// or replay error, or a panic such as an unreadable spilled block — is
+// or replay error, or a panic inside a replay — is
 // recorded on every entry still without a result, so later requests for
 // the key fail the same way instead of reading an empty entry.
 func (r *Runner) replay(ctx context.Context, g *replayGroup) {

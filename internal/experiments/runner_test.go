@@ -102,9 +102,8 @@ func TestRunnerBaselineMatrixCounters(t *testing.T) {
 
 // TestRunnerMixedConfigsReplayOnce: a matrix whose cells mix paradigm
 // configs (the Figure 14 queue sizes) on one trace builds that trace once
-// and decodes it once. The trace is spilled, so every block decode is a
-// counted read from the spill file: the three-key matrix must read exactly
-// as many blocks as a lone one-key replay of the same trace.
+// and decodes it once. The runner requests a trace once per replay group,
+// so one build and no hits mean all three keys replayed in one fused pass.
 func TestRunnerMixedConfigsReplayOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
@@ -115,28 +114,17 @@ func TestRunnerMixedConfigsReplayOnce(t *testing.T) {
 	cell := func(k paradigm.Kind, cfg paradigm.Config) Cell {
 		return Cell{App: "jacobi", Kind: k, GPUs: 4, Fab: MainFabric(4), Opt: opt, Cfg: cfg}
 	}
-	blockReads := func(cells ...Cell) CacheStats {
-		r := NewRunner(2)
-		r.SetTraceBudget(1) // spill every trace as soon as it is built
-		if _, err := r.RunMatrix(context.Background(), cells); err != nil {
-			t.Fatal(err)
-		}
-		return r.CacheStats()
-	}
-	lone := blockReads(cell(paradigm.KindRDL, paradigm.DefaultConfig()))
-	mixed := blockReads(
+	r := NewRunner(2)
+	if _, err := r.RunMatrix(context.Background(), []Cell{
 		cell(paradigm.KindGPS, paradigm.DefaultConfig()),
 		cell(paradigm.KindGPS, small),
-		cell(paradigm.KindRDL, paradigm.DefaultConfig()))
-	if mixed.TraceBuilds != 1 || mixed.EngineRuns != 3 {
-		t.Errorf("mixed configs: %d trace builds / %d engine runs, want 1 / 3", mixed.TraceBuilds, mixed.EngineRuns)
+		cell(paradigm.KindRDL, paradigm.DefaultConfig()),
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if lone.SpillBlockReads == 0 {
-		t.Fatalf("trace was not spilled: %+v", lone)
-	}
-	if mixed.SpillBlockReads != lone.SpillBlockReads {
-		t.Errorf("mixed configs read %d spilled blocks, a lone replay %d: the trace was decoded more than once",
-			mixed.SpillBlockReads, lone.SpillBlockReads)
+	if s := r.CacheStats(); s.TraceBuilds != 1 || s.TraceHits != 0 || s.EngineRuns != 3 {
+		t.Errorf("mixed configs: %d trace builds / %d trace hits / %d engine runs, want 1 / 0 / 3",
+			s.TraceBuilds, s.TraceHits, s.EngineRuns)
 	}
 }
 

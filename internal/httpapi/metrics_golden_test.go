@@ -177,15 +177,47 @@ func TestMetricsContractGolden(t *testing.T) {
 	checkGolden(t, "metrics_json_keys.golden", jsonShape(t, ts))
 }
 
-// exposedFamilies lists the family names declared by TYPE lines.
-func exposedFamilies(expo string) []string {
-	var fams []string
+// exposedFamilies maps each family declared by a TYPE line to its type.
+func exposedFamilies(expo string) map[string]string {
+	fams := map[string]string{}
 	for _, line := range strings.Split(expo, "\n") {
 		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
-			fams = append(fams, f[2])
+			fams[f[2]] = f[3]
 		}
 	}
 	return fams
+}
+
+// readmeFamilies maps each row of README's metrics table, the rows under
+// its "| Family | Type | Labels | Help |" header, to the row's Type cell.
+func readmeFamilies(t *testing.T, readme string) map[string]string {
+	t.Helper()
+	_, table, ok := strings.Cut(readme, "| Family | Type | Labels | Help |\n")
+	if !ok {
+		t.Fatal("README has no metrics table")
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		if strings.HasPrefix(line, "|---") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		rows[strings.Trim(strings.TrimSpace(cells[1]), "`")] = strings.TrimSpace(cells[2])
+	}
+	return rows
+}
+
+// sortedKeys returns m's keys in order, so test failures list stably.
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // readGolden returns the checked-in testdata/name.
@@ -219,17 +251,25 @@ func TestMetricsFamiliesHaveHelp(t *testing.T) {
 	}
 }
 
-// TestREADMEListsEveryMetricFamily: the README's Observability table names
-// every family the exposition golden pins.
+// TestREADMEListsEveryMetricFamily: the README's Observability table and
+// the exposition golden list the same families with the same types.
 func TestREADMEListsEveryMetricFamily(t *testing.T) {
-	golden := readGolden(t, "metrics_exposition.golden")
+	golden := exposedFamilies(readGolden(t, "metrics_exposition.golden"))
 	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fam := range exposedFamilies(golden) {
-		if !strings.Contains(string(readme), "| `"+fam+"` |") {
+	rows := readmeFamilies(t, string(readme))
+	for _, fam := range sortedKeys(golden) {
+		if typ, ok := rows[fam]; !ok {
 			t.Errorf("README's metrics table has no row for %s", fam)
+		} else if typ != golden[fam] {
+			t.Errorf("README's metrics table lists %s as a %s, the exposition as a %s", fam, typ, golden[fam])
+		}
+	}
+	for _, fam := range sortedKeys(rows) {
+		if _, ok := golden[fam]; !ok {
+			t.Errorf("README's metrics table lists %s, which the exposition does not export", fam)
 		}
 	}
 }

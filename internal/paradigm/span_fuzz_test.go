@@ -176,8 +176,7 @@ func splitProgram(seed int64, gpus int) *trace.Recorded {
 }
 
 // FuzzSpanSplit checks the span replay against the line-at-a-time one on
-// generated traces, replayed from resident blocks or, with shape bit 4 set,
-// from spilled ones. The engine's line sequence must equal the reference
+// generated traces. The engine's line sequence must equal the reference
 // per-lane expansion of every record, and every paradigm at 4 KB, 64 KB and
 // 2 MB pages must produce the same Result from the engine's batches as from
 // the same batches re-split into one-line spans, both when all page sizes
@@ -206,16 +205,6 @@ func FuzzSpanSplit(f *testing.F) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-			}
-		}
-		if shape&4 != 0 {
-			sf, err := trace.NewSpillFile(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sf.Close()
-			if _, err := prog.Spill(sf); err != nil {
-				t.Fatal(err)
 			}
 		}
 

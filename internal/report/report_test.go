@@ -3,39 +3,52 @@ package report
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"slices"
+	"sort"
 	"testing"
 
 	"gps/internal/experiments"
 )
 
-// The cache block is the only place a run's storage behavior surfaces in the
-// JSON report: pin the columnar/spill counters into the schema so a rename
-// shows up as a test failure, not a silently vanished field.
-func TestReportCarriesSpillCounters(t *testing.T) {
+// The cache block is the only place a run's storage and memoization
+// behavior surfaces in the JSON report: pin its exact key set so a rename,
+// a vanished field or a stray new one shows up as a test failure.
+func TestReportCarriesCacheCounters(t *testing.T) {
 	r := Report{
 		ParallelWorkers: 1,
 		Cache: experiments.CacheStats{
 			TraceBuilds:       3,
+			TraceHits:         1,
+			TraceEvictions:    2,
 			TraceBytes:        1 << 20,
 			TraceLogicalBytes: 8 << 20,
-			TraceSpills:       2,
-			TraceSpillBytes:   1 << 19,
-			SpillBlockReads:   40,
-			SpillReadBytes:    1 << 18,
+			EngineRuns:        5,
+			EngineHits:        7,
+			BaselineRuns:      1,
+			BaselineHits:      4,
 		},
 	}
 	var buf bytes.Buffer
 	if err := r.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{
-		"TraceBytes", "TraceLogicalBytes", "TraceSpills",
-		"TraceSpillBytes", "SpillBlockReads", "SpillReadBytes",
-	} {
-		if !strings.Contains(buf.String(), `"`+field+`"`) {
-			t.Fatalf("report JSON lost the %s counter:\n%s", field, buf.String())
-		}
+	var raw struct {
+		Cache map[string]json.RawMessage `json:"cache"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range raw.Cache {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{
+		"BaselineHits", "BaselineRuns", "EngineHits", "EngineRuns", "TraceBuilds",
+		"TraceBytes", "TraceEvictions", "TraceHits", "TraceLogicalBytes",
+	}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("report cache keys = %v, want %v", keys, want)
 	}
 	var back Report
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {

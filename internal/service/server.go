@@ -375,18 +375,10 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func(c experiments.CacheStats) uint64 { return c.BaselineRuns })
 	cache("gps_runner_baseline_hits_total", "Baseline requests served from cache.",
 		func(c experiments.CacheStats) uint64 { return c.BaselineHits })
-	cache("gps_runner_trace_spills_total", "Traces whose columnar blocks moved to the spill file.",
-		func(c experiments.CacheStats) uint64 { return c.TraceSpills })
-	cache("gps_runner_spill_block_reads_total", "Trace block reads served from the spill file.",
-		func(c experiments.CacheStats) uint64 { return c.SpillBlockReads })
-	cache("gps_runner_spill_read_bytes_total", "Bytes read back from the spill file.",
-		func(c experiments.CacheStats) uint64 { return c.SpillReadBytes })
 	reg.GaugeFunc("gps_runner_trace_cache_bytes", "Approximate resident bytes of cached traces (compressed columnar blocks).",
 		func() float64 { return float64(experiments.Default.CacheStats().TraceBytes) })
 	reg.GaugeFunc("gps_runner_trace_logical_bytes", "Flat-layout bytes the resident traces would occupy uncompressed.",
 		func() float64 { return float64(experiments.Default.CacheStats().TraceLogicalBytes) })
-	reg.GaugeFunc("gps_runner_trace_spill_bytes", "Compressed bytes written to the trace spill file.",
-		func() float64 { return float64(experiments.Default.CacheStats().TraceSpillBytes) })
 	reg.CounterFunc("gps_runner_cell_panics_total", "Matrix cells that panicked and were fenced.",
 		func() float64 { return float64(experiments.Default.ResilienceStats().CellPanics) })
 	reg.CounterFunc("gps_runner_cell_retries_total", "Matrix cell attempts retried after transient failures.",

@@ -79,30 +79,3 @@ func BenchmarkColumnEncode(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkSpillRead measures a full decode pass over a spilled store,
-// including the ReadAt per block.
-func BenchmarkSpillRead(b *testing.B) {
-	const n = 16 * BlockAccesses
-	c := EncodeColumns(randomAccesses(n, 1))
-	sf, err := NewSpillFile(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.SpillTo(sf); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(n) * 24)
-	var dec BlockDecoder
-	for i := 0; i < b.N; i++ {
-		for blk := 0; blk < c.NumBlocks(); blk++ {
-			if _, err := dec.Decode(c, blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if sf.Reads() == 0 {
-		b.Fatal("no spill reads recorded")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sync"
 )
 
 // Columnar block format: kernels produced by internal/workload are millions
@@ -30,27 +29,19 @@ import (
 // Seed and addr runs are runs of *equal deltas*, so an arithmetic sequence
 // (the common case: unit-stride addresses, +2654435761 seeds) collapses to
 // one run per block. Delta state resets at each block boundary, keeping
-// blocks independently decodable — required for the spill tier, which reads
-// blocks back from disk in arbitrary order.
+// blocks independently decodable: the replay cursor decodes the block that
+// holds its current window, whatever block it read before.
 const BlockAccesses = 4096
 
 // ColumnAccesses is a kernel's access stream in compressed columnar blocks.
 // All blocks hold exactly BlockAccesses records except the last, which holds
-// the remainder — so block i covers records [i*BlockAccesses, ...). The
-// struct contains a mutex and must be used by pointer.
-//
-// Blocks live in memory until SpillTo moves them to a SpillFile, after which
-// block reads hit the file. The flip is guarded by mu; decoded []Access
-// buffers handed out before a spill remain valid (they are private copies).
+// the remainder — so block i covers records [i*BlockAccesses, ...). Blocks
+// are immutable once Finish or UnmarshalJSON returns, so any number of
+// decoders may read one store concurrently.
 type ColumnAccesses struct {
-	n          int    // total records
-	compressed uint64 // sum of encoded block sizes
-
-	mu     sync.Mutex
-	blocks [][]byte   // resident encoded blocks; nil once spilled
-	spill  *SpillFile // non-nil once spilled
-	offs   []int64    // per-block offset in spill
-	sizes  []int32    // per-block encoded size (valid in both modes)
+	n          int      // total records
+	compressed uint64   // sum of encoded block sizes
+	blocks     [][]byte // encoded blocks
 }
 
 // Len returns the total number of access records.
@@ -66,19 +57,18 @@ func (c *ColumnAccesses) NumBlocks() int {
 	if c == nil {
 		return 0
 	}
-	return len(c.sizes)
+	return len(c.blocks)
 }
 
 // BlockLen returns the number of records in block i.
 func (c *ColumnAccesses) BlockLen(i int) int {
-	if i < len(c.sizes)-1 {
+	if i < len(c.blocks)-1 {
 		return BlockAccesses
 	}
 	return c.n - i*BlockAccesses
 }
 
-// CompressedBytes returns the total encoded size of all blocks, whether
-// resident or spilled.
+// CompressedBytes returns the total encoded size of all blocks.
 func (c *ColumnAccesses) CompressedBytes() uint64 {
 	if c == nil {
 		return 0
@@ -86,92 +76,15 @@ func (c *ColumnAccesses) CompressedBytes() uint64 {
 	return c.compressed
 }
 
-// Spilled reports whether the blocks live in a spill file rather than memory.
-func (c *ColumnAccesses) Spilled() bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.spill != nil
-}
-
-// ResidentBytes returns the heap footprint of the column store: the encoded
-// blocks while resident, or just the per-block index after a spill.
+// ResidentBytes returns the approximate heap footprint of the column store:
+// the encoded blocks, 96 B for the struct, and 28 B per block: the block's
+// 24 B slice header plus 4 B that keep TraceBytes comparable with earlier
+// reports.
 func (c *ColumnAccesses) ResidentBytes() uint64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Index overhead: sizes (4 B) always, offs (8 B) once spilled, plus the
-	// struct and slice headers.
-	overhead := uint64(len(c.sizes))*4 + 96
-	if c.spill != nil {
-		return overhead + uint64(len(c.offs))*8
-	}
-	return c.compressed + overhead + uint64(len(c.blocks))*24
-}
-
-// SpillTo writes every resident block to s and drops the in-memory copies,
-// returning the number of heap bytes freed. It is a no-op (returning 0) if
-// the blocks are already spilled. Concurrent readers are safe: a reader
-// holding a block slice keeps it alive, and readers arriving after the flip
-// go to the file.
-func (c *ColumnAccesses) SpillTo(s *SpillFile) (freed uint64, err error) {
-	if c == nil || s == nil {
-		return 0, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.spill != nil || c.blocks == nil {
-		return 0, nil
-	}
-	var buf []byte
-	for _, b := range c.blocks {
-		buf = append(buf, b...)
-	}
-	base, err := s.append(buf)
-	if err != nil {
-		return 0, err
-	}
-	offs := make([]int64, len(c.blocks))
-	off := base
-	for i, b := range c.blocks {
-		offs[i] = off
-		off += int64(len(b))
-		freed += uint64(cap(b))
-	}
-	c.offs = offs
-	c.spill = s
-	c.blocks = nil
-	return freed, nil
-}
-
-// block returns the encoded bytes of block i, reading from the spill file
-// into scratch if the blocks are no longer resident. The returned slice must
-// not be retained past the next call with the same scratch.
-func (c *ColumnAccesses) block(i int, scratch []byte) (data, newScratch []byte, err error) {
-	if i < 0 || i >= len(c.sizes) {
-		return nil, scratch, fmt.Errorf("trace: block %d out of range [0,%d)", i, len(c.sizes))
-	}
-	c.mu.Lock()
-	if c.blocks != nil {
-		b := c.blocks[i]
-		c.mu.Unlock()
-		return b, scratch, nil
-	}
-	spill, off := c.spill, c.offs[i]
-	c.mu.Unlock()
-	size := int(c.sizes[i])
-	if cap(scratch) < size {
-		scratch = make([]byte, size, max(size, 16<<10))
-	}
-	scratch = scratch[:size]
-	if err := spill.readAt(scratch, off); err != nil {
-		return nil, scratch, fmt.Errorf("trace: reading spilled block %d: %w", i, err)
-	}
-	return scratch, scratch, nil
+	return c.compressed + uint64(len(c.blocks))*28 + 96
 }
 
 // colRun is one run of a column: n successive records share value v. In
@@ -220,7 +133,6 @@ type ColumnEncoder struct {
 	n          int
 	compressed uint64
 	blocks     [][]byte
-	sizes      []int32
 
 	cnt      int               // records in the current block
 	cols     [numCols][]colRun // the current block's runs
@@ -285,7 +197,6 @@ func (e *ColumnEncoder) flush() {
 	}
 	e.scratch = buf
 	e.blocks = append(e.blocks, bytes.Clone(buf))
-	e.sizes = append(e.sizes, int32(len(buf)))
 	e.compressed += uint64(len(buf))
 	e.n += e.cnt
 	e.cnt, e.lastSeed, e.lastAddr = 0, 0, 0
@@ -304,7 +215,6 @@ func (e *ColumnEncoder) Finish() *ColumnAccesses {
 		n:          e.n,
 		compressed: e.compressed,
 		blocks:     e.blocks,
-		sizes:      e.sizes,
 	}
 	*e = ColumnEncoder{}
 	return c
@@ -383,21 +293,18 @@ func (r *Run) At(i uint32) Access {
 // slot's replay cursor, a sharing scan) needs its own decoder; the decoded
 // slice is valid until the next decode call on the same decoder.
 type BlockDecoder struct {
-	buf     []Access
-	out     []Run
-	scratch []byte
-	cols    []colRun // the parsed runs of all columns of the current block
+	buf  []Access
+	out  []Run
+	cols []colRun // the parsed runs of all columns of the current block
 }
 
 // DecodeRuns returns block i of c as runs, in record order. The returned
 // slice aliases the decoder's buffer.
 func (d *BlockDecoder) DecodeRuns(c *ColumnAccesses, i int) ([]Run, error) {
-	data, scratch, err := c.block(i, d.scratch)
-	d.scratch = scratch
-	if err != nil {
-		return nil, err
+	if i < 0 || i >= len(c.blocks) {
+		return nil, fmt.Errorf("trace: block %d out of range [0,%d)", i, len(c.blocks))
 	}
-	runs, n, err := d.decodeRuns(data)
+	runs, n, err := d.decodeRuns(c.blocks[i])
 	if err != nil {
 		return nil, fmt.Errorf("trace: block %d: %w", i, err)
 	}
@@ -568,20 +475,9 @@ type columnJSON struct {
 	Blocks [][]byte
 }
 
-// MarshalJSON writes the block store; spilled blocks are read back from the
-// file so the JSON rendering is always self-contained.
+// MarshalJSON writes the block store.
 func (c *ColumnAccesses) MarshalJSON() ([]byte, error) {
-	cj := columnJSON{N: c.n}
-	var scratch []byte
-	for i := 0; i < c.NumBlocks(); i++ {
-		data, ns, err := c.block(i, scratch)
-		scratch = ns
-		if err != nil {
-			return nil, err
-		}
-		cj.Blocks = append(cj.Blocks, append([]byte(nil), data...))
-	}
-	return json.Marshal(cj)
+	return json.Marshal(columnJSON{N: c.n, Blocks: c.blocks})
 }
 
 // UnmarshalJSON rebuilds the store and fully validates every block, so any
@@ -596,7 +492,6 @@ func (c *ColumnAccesses) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	total := 0
-	var sizes []int32
 	var compressed uint64
 	var dec BlockDecoder
 	for i, b := range cj.Blocks {
@@ -605,7 +500,6 @@ func (c *ColumnAccesses) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("trace: column block %d: %w", i, err)
 		}
 		total += n
-		sizes = append(sizes, int32(len(b)))
 		compressed += uint64(len(b))
 		if i < len(cj.Blocks)-1 && n != BlockAccesses {
 			return fmt.Errorf("trace: column block %d short (%d records) before the last", i, n)
@@ -616,9 +510,6 @@ func (c *ColumnAccesses) UnmarshalJSON(data []byte) error {
 	}
 	c.n = cj.N
 	c.blocks = cj.Blocks
-	c.sizes = sizes
 	c.compressed = compressed
-	c.spill = nil
-	c.offs = nil
 	return nil
 }

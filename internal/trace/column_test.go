@@ -104,79 +104,6 @@ func TestColumnCompression(t *testing.T) {
 	}
 }
 
-func TestColumnSpillRoundTrip(t *testing.T) {
-	orig := randomAccesses(2*BlockAccesses+100, 42)
-	c := EncodeColumns(orig)
-	before := c.ResidentBytes()
-
-	sf, err := NewSpillFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	freed, err := c.SpillTo(sf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if freed == 0 {
-		t.Fatal("spill freed nothing")
-	}
-	if !c.Spilled() {
-		t.Fatal("not marked spilled")
-	}
-	if after := c.ResidentBytes(); after >= before {
-		t.Fatalf("resident bytes %d not reduced from %d", after, before)
-	}
-	if uint64(sf.Size()) != c.CompressedBytes() {
-		t.Fatalf("spill file holds %d bytes, compressed is %d", sf.Size(), c.CompressedBytes())
-	}
-	// Re-spilling is a no-op.
-	if f2, err := c.SpillTo(sf); err != nil || f2 != 0 {
-		t.Fatalf("second spill: freed %d, err %v", f2, err)
-	}
-	if got := decodeAll(t, c); !reflect.DeepEqual(got, orig) {
-		t.Fatal("spilled round trip diverged")
-	}
-	if sf.Reads() == 0 || sf.ReadBytes() == 0 {
-		t.Fatal("spill reads not counted")
-	}
-}
-
-func TestColumnSpillConcurrentReaders(t *testing.T) {
-	orig := stencilAccesses(4 * BlockAccesses)
-	c := EncodeColumns(orig)
-	sf, err := NewSpillFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 8)
-	for g := 0; g < 4; g++ {
-		go func() {
-			var dec BlockDecoder
-			for r := 0; r < 20; r++ {
-				for i := 0; i < c.NumBlocks(); i++ {
-					if _, err := dec.Decode(c, i); err != nil {
-						done <- err
-						return
-					}
-				}
-			}
-			done <- nil
-		}()
-	}
-	// Flip to spilled mid-read: readers must stay correct either way.
-	if _, err := c.SpillTo(sf); err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 4; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := decodeAll(t, c); !reflect.DeepEqual(got, orig) {
-		t.Fatal("post-spill decode diverged")
-	}
-}
-
 func TestColumnJSONRoundTrip(t *testing.T) {
 	orig := randomAccesses(BlockAccesses+5, 7)
 	c := EncodeColumns(orig)
@@ -191,20 +118,13 @@ func TestColumnJSONRoundTrip(t *testing.T) {
 	if got := decodeAll(t, &back); !reflect.DeepEqual(got, orig) {
 		t.Fatal("JSON round trip diverged")
 	}
-	// Spilled stores marshal identically (blocks read back from the file).
-	sf, err := NewSpillFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SpillTo(sf); err != nil {
-		t.Fatal(err)
-	}
-	data2, err := json.Marshal(c)
+	// A decoded store marshals to the same bytes again.
+	data2, err := json.Marshal(&back)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, data2) {
-		t.Fatal("spilled JSON differs from resident JSON")
+		t.Fatal("re-marshaled JSON differs from the original")
 	}
 }
 
@@ -402,21 +322,17 @@ func shortSegmentAccesses(n int) []Access {
 	return out
 }
 
-// spilledSample is sampleProgram with its column blocks moved to a spill
-// file.
-func spilledSample(t *testing.T) *Recorded {
+// jsonSample is sampleProgram as decoded from its JSON rendering, so its
+// column blocks come from UnmarshalJSON rather than from an encoder.
+func jsonSample(t *testing.T) *Recorded {
 	t.Helper()
-	rec := sampleProgram()
-	sf, err := NewSpillFile(t.TempDir())
-	if err != nil {
+	var buf bytes.Buffer
+	if err := EncodeJSON(&buf, sampleProgram()); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sf.Close() })
-	if freed, err := rec.Spill(sf); err != nil || freed == 0 {
-		t.Fatalf("spill: freed %d, err %v", freed, err)
-	}
-	if freed, err := rec.Spill(sf); err != nil || freed != 0 {
-		t.Fatalf("second spill: freed %d, err %v", freed, err)
+	rec, err := DecodeJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return rec
 }
@@ -424,17 +340,16 @@ func spilledSample(t *testing.T) *Recorded {
 func TestKernelEachBlockBothForms(t *testing.T) {
 	accs := randomAccesses(2*BlockAccesses+9, 11)
 	resident := Kernel{GPU: 0, Name: "k", Col: EncodeColumns(accs)}
-	spilled := Kernel{GPU: 0, Name: "k", Col: EncodeColumns(accs)}
-	sf, err := NewSpillFile(t.TempDir())
+	data, err := json.Marshal(resident.Col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sf.Close()
-	if _, err := spilled.Col.SpillTo(sf); err != nil {
+	decoded := Kernel{GPU: 0, Name: "k", Col: &ColumnAccesses{}}
+	if err := json.Unmarshal(data, decoded.Col); err != nil {
 		t.Fatal(err)
 	}
 	var dec BlockDecoder
-	for name, k := range map[string]Kernel{"resident": resident, "spilled": spilled} {
+	for name, k := range map[string]Kernel{"resident": resident, "decoded": decoded} {
 		if k.NumAccesses() != len(accs) {
 			t.Fatalf("%s: NumAccesses %d, want %d", name, k.NumAccesses(), len(accs))
 		}
@@ -463,27 +378,15 @@ func TestKernelEachBlockBothForms(t *testing.T) {
 }
 
 func TestBinaryCodecAgnosticToStorage(t *testing.T) {
-	// The wire format must not depend on where the blocks live.
-	var resident, spilled bytes.Buffer
-	if err := Encode(&resident, sampleProgram()); err != nil {
+	// The wire format must not depend on where the blocks came from.
+	var encoded, decoded bytes.Buffer
+	if err := Encode(&encoded, sampleProgram()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Encode(&spilled, spilledSample(t)); err != nil {
+	if err := Encode(&decoded, jsonSample(t)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(resident.Bytes(), spilled.Bytes()) {
-		t.Fatal("binary encoding differs between resident and spilled kernels")
-	}
-}
-
-func TestRecordedSpill(t *testing.T) {
-	rec, orig := spilledSample(t), sampleProgram()
-	for pi := range orig.Ph {
-		for ki := range orig.Ph[pi].Kernels {
-			got, want := rec.Ph[pi].Kernels[ki].Col, orig.Ph[pi].Kernels[ki].Col
-			if !got.Spilled() || !reflect.DeepEqual(decodeAll(t, got), decodeAll(t, want)) {
-				t.Fatalf("phase %d kernel %d: spilled trace no longer replays identically", pi, ki)
-			}
-		}
+	if !bytes.Equal(encoded.Bytes(), decoded.Bytes()) {
+		t.Fatal("binary encoding differs between encoded and JSON-decoded kernels")
 	}
 }

@@ -170,8 +170,8 @@ func (k *Kernel) NumAccesses() int { return k.Col.Len() }
 
 // EachBlock yields the kernel's access stream one decoded block at a time
 // through dec, whose buffer each yielded slice aliases. Iteration stops
-// early if yield returns false. The only possible errors are spill-file I/O
-// and internal codec corruption.
+// early if yield returns false. The only possible error is a corrupt block,
+// which Finish and UnmarshalJSON never produce.
 func (k *Kernel) EachBlock(dec *BlockDecoder, yield func([]Access) bool) error {
 	for i := 0; i < k.Col.NumBlocks(); i++ {
 		accs, err := dec.Decode(k.Col, i)
@@ -346,23 +346,6 @@ func Collect(p Program) *Recorded {
 		return true
 	})
 	return rec
-}
-
-// Spill moves every kernel's blocks into s, returning the heap bytes freed.
-// Kernels already spilled (or without accesses) are skipped. On a write
-// error the remaining kernels stay resident and the first error is returned
-// alongside whatever was freed; the trace remains fully readable either way.
-func (r *Recorded) Spill(s *SpillFile) (freed uint64, err error) {
-	for pi := range r.Ph {
-		for ki := range r.Ph[pi].Kernels {
-			f, e := r.Ph[pi].Kernels[ki].Col.SpillTo(s)
-			freed += f
-			if e != nil && err == nil {
-				err = e
-			}
-		}
-	}
-	return freed, err
 }
 
 // Stats summarizes a program for inspection tools.
