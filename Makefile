@@ -42,7 +42,7 @@ bench-smoke:
 ## package's public-API run covers the KernelBuilder path; its figure
 ## benchmarks are left to the full suite.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace/ ./internal/engine/ ./internal/memsys/ ./internal/workload/ ./internal/paradigm/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace/ ./internal/engine/ ./internal/memsys/ ./internal/workload/ ./internal/paradigm/ ./internal/timing/
 	$(GO) test -run '^$$' -bench PublicAPIRun -benchtime 1x .
 
 ## bench-record: record the full suite's wall clock and headline metrics

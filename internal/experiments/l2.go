@@ -38,25 +38,16 @@ func ValidateL2(ctx context.Context, opt Options) (*stats.Table, error) {
 		return fmt.Sprintf("l2/%s/%dgpu", specs[i/2].Name, gpus)
 	}
 	err := Default.parallelForDesc(ctx, 2*len(specs), desc, func(ctx context.Context, i int) error {
-		spec, four := specs[i/2], i%2 == 1
-		if !four {
-			sim1, err := simulateL2(spec, opt, 1)
-			if err != nil {
-				return err
-			}
-			prog, err := Default.traceCtx(ctx, spec.Name, opt.workloadConfig(1))
-			if err != nil {
-				return err
-			}
-			rows[i/2].sim1, rows[i/2].l2 = sim1, prog.Meta().L2
-			return nil
-		}
-		sim4, err := simulateL2(spec, opt, 4)
-		if err != nil {
+		row := &rows[i/2]
+		if i%2 == 1 {
+			sim4, _, err := simulateL2(ctx, specs[i/2], opt, 4)
+			row.sim4 = sim4
 			return err
 		}
-		rows[i/2].sim4 = sim4
-		return nil
+		// The model column is read from the 1-GPU trace the replay used.
+		sim1, l2, err := simulateL2(ctx, specs[i/2], opt, 1)
+		row.sim1, row.l2 = sim1, l2
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -69,12 +60,13 @@ func ValidateL2(ctx context.Context, opt Options) (*stats.Table, error) {
 }
 
 // simulateL2 replays the recorded shared-region accesses of every GPU
-// through a private V100 L2 each and returns the mean hit rate. Only the
-// steady-state phases count (caches warm during the profiling iteration).
-func simulateL2(spec workload.Spec, opt Options, gpus int) (float64, error) {
-	prog, err := Default.Trace(spec.Name, opt.workloadConfig(gpus))
+// through a private V100 L2 each and returns the mean hit rate, along with
+// the analytic L2 model the same trace carries. Only the steady-state
+// phases count (caches warm during the profiling iteration).
+func simulateL2(ctx context.Context, spec workload.Spec, opt Options, gpus int) (float64, trace.L2Model, error) {
+	prog, err := Default.traceCtx(ctx, spec.Name, opt.workloadConfig(gpus))
 	if err != nil {
-		return 0, err
+		return 0, trace.L2Model{}, err
 	}
 	meta := prog.Meta()
 	paths := make([]*gpu.MemoryPath, gpus)
@@ -100,7 +92,7 @@ func simulateL2(spec workload.Spec, opt Options, gpus int) (float64, error) {
 			for bi := 0; bi < k.Col.NumBlocks(); bi++ {
 				runs, err := dec.DecodeRuns(k.Col, bi)
 				if err != nil {
-					return 0, fmt.Errorf("experiments: %s: %w", spec.Name, err)
+					return 0, meta.L2, fmt.Errorf("experiments: %s: %w", spec.Name, err)
 				}
 				spans = spans[:0]
 				for _, r := range runs {
@@ -123,9 +115,9 @@ func simulateL2(spec workload.Spec, opt Options, gpus int) (float64, error) {
 	for _, p := range paths {
 		s := p.L2.Stats()
 		if s.Hits+s.Misses == 0 {
-			return 0, fmt.Errorf("experiments: %s GPU %d had no accesses", spec.Name, p.GPU)
+			return 0, meta.L2, fmt.Errorf("experiments: %s GPU %d had no accesses", spec.Name, p.GPU)
 		}
 		sum += s.HitRate()
 	}
-	return sum / float64(gpus), nil
+	return sum / float64(gpus), meta.L2, nil
 }

@@ -20,7 +20,7 @@ type PacketSim struct {
 	eng         *sim.Engine
 	fab         *interconnect.Fabric
 	packetBytes float64
-	linkFreeAt  map[interconnect.LinkID]sim.Time
+	linkFreeAt  []sim.Time // indexed by LinkID
 }
 
 // Transfer is one src->dst flow to simulate.
@@ -42,7 +42,7 @@ func NewPacketSim(fab *interconnect.Fabric, packetBytes float64) *PacketSim {
 		eng:         sim.NewEngine(),
 		fab:         fab,
 		packetBytes: packetBytes,
-		linkFreeAt:  map[interconnect.LinkID]sim.Time{},
+		linkFreeAt:  make([]sim.Time, fab.NumLinks()),
 	}
 }
 
@@ -50,9 +50,7 @@ func NewPacketSim(fab *interconnect.Fabric, packetBytes float64) *PacketSim {
 // the time the last one completed.
 func (ps *PacketSim) Run(transfers []*Transfer) sim.Time {
 	ps.eng.Reset()
-	for k := range ps.linkFreeAt {
-		delete(ps.linkFreeAt, k)
-	}
+	clear(ps.linkFreeAt)
 	for _, tr := range transfers {
 		tr := tr
 		if tr.Bytes <= 0 || tr.Src == tr.Dst || ps.fab.Ideal() {
@@ -126,14 +124,15 @@ func (ps *PacketSim) book(tr *Transfer, path []interconnect.LinkID, idx int,
 // fills each flow's finish time via the store-and-forward simulator, then
 // applies the per-flow rate caps (MLP budgets) the packet model does not
 // carry natively.
-func solveWindowPacket(flows []*flow, fab *interconnect.Fabric, packetBytes float64) float64 {
+func solveWindowPacket(flows []flow, fab *interconnect.Fabric, packetBytes float64) float64 {
 	transfers := make([]*Transfer, len(flows))
 	for i, f := range flows {
 		transfers[i] = &Transfer{Src: f.src, Dst: f.dst, Bytes: f.bytes}
 	}
 	NewPacketSim(fab, packetBytes).Run(transfers)
 	end := 0.0
-	for i, f := range flows {
+	for i := range flows {
+		f := &flows[i]
 		finish := float64(transfers[i].Finish)
 		if !math.IsInf(f.cap, 1) && f.cap > 0 {
 			if capped := f.bytes / f.cap; capped > finish {
@@ -151,11 +150,9 @@ func solveWindowPacket(flows []*flow, fab *interconnect.Fabric, packetBytes floa
 // FluidMakespan prices the same transfer set with the fluid max-min model,
 // for cross-validation against the packet simulator.
 func FluidMakespan(transfers []*Transfer, fab *interconnect.Fabric) float64 {
-	flows := make([]*flow, 0, len(transfers))
-	for _, tr := range transfers {
-		flows = append(flows, &flow{
-			src: tr.Src, dst: tr.Dst, bytes: tr.Bytes, cap: math.Inf(1),
-		})
+	flows := make([]flow, len(transfers))
+	for i, tr := range transfers {
+		flows[i] = flow{src: tr.Src, dst: tr.Dst, bytes: tr.Bytes, cap: math.Inf(1)}
 	}
-	return solveWindow(flows, fab)
+	return newSolver(fab).solve(flows)
 }

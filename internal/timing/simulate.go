@@ -1,8 +1,10 @@
 package timing
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"gps/internal/engine"
 	"gps/internal/gpuconf"
@@ -113,35 +115,44 @@ func Simulate(res *engine.Result, cfg Config) *Report {
 	flops := machine.PeakFLOPs() * cfg.ComputeEfficiency
 	l2Hit := res.Meta.L2.HitRate(res.Meta.NumGPUs)
 
-	rep := &Report{}
+	rep := &Report{Phases: make([]PhaseTime, 0, len(res.Phases))}
 	var total float64 // phases run back to back
-	linkBytes := map[interconnect.LinkID]float64{}
-	account := func(fs []*flow) {
+	fluid := newSolver(cfg.Fabric)
+	linkBytes := make([]float64, cfg.Fabric.NumLinks())
+	linkUsed := make([]bool, cfg.Fabric.NumLinks())
+	account := func(fs []flow) {
 		if cfg.Fabric.Ideal() {
 			return
 		}
-		for _, f := range fs {
+		for i := range fs {
+			f := &fs[i]
 			if f.src == f.dst {
 				continue
 			}
 			for _, id := range cfg.Fabric.Path(f.src, f.dst) {
 				linkBytes[id] += f.bytes
+				linkUsed[id] = true
 			}
 		}
 	}
-	solve := func(fs []*flow) float64 {
+	solve := func(fs []flow) float64 {
 		account(fs)
 		if cfg.UsePacketSim {
 			return solveWindowPacket(fs, cfg.Fabric, cfg.PacketBytes)
 		}
-		return solveWindow(fs, cfg.Fabric)
+		return fluid.solve(fs)
 	}
 
+	// One flow buffer and one set of per-GPU accumulators serve every
+	// phase: the kernel window's flows are dead once the barrier is priced,
+	// so the bulk window reuses the same backing array.
+	var flows []flow
+	var demandFinish, kernelWork, serial []float64
 	for _, ph := range res.Phases {
-		var flows []*flow
-		demandFinish := make([]float64, len(ph.Profiles))
-		kernelWork := make([]float64, len(ph.Profiles))
-		serial := make([]float64, len(ph.Profiles))
+		flows = flows[:0]
+		demandFinish = resetGPUs(demandFinish, len(ph.Profiles))
+		kernelWork = resetGPUs(kernelWork, len(ph.Profiles))
+		serial = resetGPUs(serial, len(ph.Profiles))
 
 		for g := range ph.Profiles {
 			p := &ph.Profiles[g]
@@ -171,7 +182,7 @@ func Simulate(res *engine.Result, cfg Config) *Report {
 					capRate = float64(machine.RemoteMLP) * float64(machine.CacheBlockBytes) /
 						lat / float64(demandSrcs)
 				}
-				flows = append(flows, &flow{
+				flows = append(flows, flow{
 					kind: flowDemand, src: peer, dst: g,
 					bytes: float64(b), cap: capRate,
 				})
@@ -180,7 +191,7 @@ func Simulate(res *engine.Result, cfg Config) *Report {
 				if b == 0 {
 					continue
 				}
-				flows = append(flows, &flow{
+				flows = append(flows, flow{
 					kind: flowPush, src: g, dst: peer,
 					bytes: float64(b), cap: math.Inf(1),
 				})
@@ -188,11 +199,15 @@ func Simulate(res *engine.Result, cfg Config) *Report {
 		}
 
 		// Kernel-window flows: demand reads and proactive pushes contend.
-		kernelFlows := flows
-		solve(kernelFlows)
-		for _, f := range kernelFlows {
-			if f.kind == flowDemand && f.finish > demandFinish[f.dst] {
+		solve(flows)
+		var pushEnd float64
+		for i := range flows {
+			f := &flows[i]
+			switch {
+			case f.kind == flowDemand && f.finish > demandFinish[f.dst]:
 				demandFinish[f.dst] = f.finish
+			case f.kind == flowPush && f.finish > pushEnd:
+				pushEnd = f.finish
 			}
 		}
 
@@ -200,12 +215,6 @@ func Simulate(res *engine.Result, cfg Config) *Report {
 		// stalls only partially, then faults serialize.
 		var pt PhaseTime
 		pt.Index = ph.Index
-		var pushEnd float64
-		for _, f := range kernelFlows {
-			if f.kind == flowPush && f.finish > pushEnd {
-				pushEnd = f.finish
-			}
-		}
 		for g := range ph.Profiles {
 			d := demandFinish[g]
 			w := kernelWork[g]
@@ -228,19 +237,19 @@ func Simulate(res *engine.Result, cfg Config) *Report {
 		pt.PushDrainSpan = barrier - pt.KernelSpan
 
 		// Barrier-window bulk transfers (memcpy broadcasts, UM prefetch).
-		var bulkFlows []*flow
+		flows = flows[:0]
 		for g := range ph.Profiles {
 			for peer, b := range ph.Profiles[g].Bulk {
 				if b == 0 {
 					continue
 				}
-				bulkFlows = append(bulkFlows, &flow{
+				flows = append(flows, flow{
 					kind: flowBulk, src: g, dst: peer,
 					bytes: float64(b), cap: math.Inf(1),
 				})
 			}
 		}
-		pt.BulkSpan = solve(bulkFlows)
+		pt.BulkSpan = solve(flows)
 
 		pt.Duration = barrier + pt.BulkSpan + cfg.PhaseOverhead
 
@@ -254,16 +263,31 @@ func Simulate(res *engine.Result, cfg Config) *Report {
 	}
 	rep.Total = total
 	rep.ProfilePhases = res.Meta.ProfilePhases
-	for id, b := range linkBytes {
-		rep.LinkTraffic = append(rep.LinkTraffic, LinkLoad{Name: cfg.Fabric.Link(id).Name, Bytes: b})
-	}
-	sort.Slice(rep.LinkTraffic, func(i, j int) bool {
-		if rep.LinkTraffic[i].Bytes != rep.LinkTraffic[j].Bytes {
-			return rep.LinkTraffic[i].Bytes > rep.LinkTraffic[j].Bytes
+	for id, used := range linkUsed {
+		if used {
+			rep.LinkTraffic = append(rep.LinkTraffic, LinkLoad{
+				Name: cfg.Fabric.Link(interconnect.LinkID(id)).Name, Bytes: linkBytes[id],
+			})
 		}
-		return rep.LinkTraffic[i].Name < rep.LinkTraffic[j].Name
+	}
+	slices.SortFunc(rep.LinkTraffic, func(a, b LinkLoad) int {
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Name, b.Name)
 	})
 	return rep
+}
+
+// resetGPUs returns s resized to n zeroed entries, reusing its backing
+// array when it is large enough.
+func resetGPUs(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // tlbPressure prices last-level TLB misses: at 64 KB pages GPUs sustain

@@ -146,3 +146,55 @@ func TestHigherBandwidthNeverHurts(t *testing.T) {
 		t.Fatalf("PCIe6 (%v) slower than PCIe3 (%v)", t6, t3)
 	}
 }
+
+// runApp replays one application structurally at 4 GPUs for timing tests.
+func runApp(tb testing.TB, name string, kind paradigm.Kind, iters int) *engine.Result {
+	tb.Helper()
+	spec, err := workload.ByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog := spec.Build(workload.Config{NumGPUs: 4, Iterations: iters, Scale: 1, Seed: 1})
+	m, err := paradigm.New(kind, prog, paradigm.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return engine.Run(prog, m)
+}
+
+// TestSimulateAllocs: Simulate's allocations are per call, not per phase
+// or per flow, so a longer trace of the same app allocates no more.
+func TestSimulateAllocs(t *testing.T) {
+	cfg := DefaultConfig(interconnect.PCIeTree(4, interconnect.PCIe4))
+	for _, kind := range []paradigm.Kind{paradigm.KindGPS, paradigm.KindUM} {
+		short, long := runApp(t, "jacobi", kind, 2), runApp(t, "jacobi", kind, 6)
+		if len(long.Phases) <= len(short.Phases) {
+			t.Fatalf("%v: %d phases at 6 iterations, %d at 2", kind, len(long.Phases), len(short.Phases))
+		}
+		a := testing.AllocsPerRun(5, func() { Simulate(short, cfg) })
+		b := testing.AllocsPerRun(5, func() { Simulate(long, cfg) })
+		if a != b {
+			t.Fatalf("%v: Simulate allocates %v objects for %d phases, %v for %d",
+				kind, a, len(short.Phases), b, len(long.Phases))
+		}
+	}
+}
+
+// BenchmarkSimulate prices the eight Table 2 applications at 4 GPUs on
+// PCIe 4.0 under GPS and UM; the structural results are built once.
+func BenchmarkSimulate(b *testing.B) {
+	cfg := DefaultConfig(interconnect.PCIeTree(4, interconnect.PCIe4))
+	var results []*engine.Result
+	for _, spec := range workload.Catalog() {
+		for _, kind := range []paradigm.Kind{paradigm.KindGPS, paradigm.KindUM} {
+			results = append(results, runApp(b, spec.Name, kind, 2))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, res := range results {
+			benchSink = Simulate(res, cfg).Total
+		}
+	}
+}
