@@ -42,7 +42,7 @@ bench-smoke:
 ## package's public-API run covers the KernelBuilder path; its figure
 ## benchmarks are left to the full suite.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace/ ./internal/engine/ ./internal/memsys/ ./internal/workload/ ./internal/paradigm/ ./internal/timing/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/trace/ ./internal/engine/ ./internal/memsys/ ./internal/workload/ ./internal/paradigm/ ./internal/timing/ ./internal/core/
 	$(GO) test -run '^$$' -bench PublicAPIRun -benchtime 1x .
 
 ## bench-record: record the full suite's wall clock and headline metrics
@@ -101,4 +101,5 @@ chaos:
 	$(GO) test -run '^$$' -fuzz=FuzzSpanSplit -fuzztime=10s ./internal/paradigm/
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz=FuzzFuncsimPrograms -fuzztime=10s ./internal/funcsim/
+	$(GO) test -run '^$$' -fuzz=FuzzWriteQueue -fuzztime=10s ./internal/core/
 	sh scripts/chaos_smoke.sh

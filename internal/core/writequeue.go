@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gps/internal/memsys"
 )
@@ -41,37 +42,52 @@ func (s WriteQueueStats) HitRate() float64 {
 // when occupancy reaches the high watermark, the least recently added block
 // drains; sys-scoped synchronization flushes everything.
 //
-// Resident blocks live in a circular ring in insertion order (the live
-// window is [head, tail)), reached through an open-addressed index from
-// resident line addresses. The queue drains strictly FIFO, so a ring slot
-// is only reused after its line has left the index — PushStore, Contains
-// and drainOldest all run without map machinery or per-block allocation,
-// which matters because every weak store in a GPS replay passes through
-// here.
+// Layout. Resident lines are held as runs: a circular ring of {first line,
+// n} entries in insertion order (the live window is [head, tail)), each run
+// inside one 64-line group (line index >> 6). An append that continues the
+// tail run extends it. Residency lives in an open-addressed index from a
+// group to a uint64 bitmap of its resident lines, so Contains is one probe
+// and one bit test, and a store piece tests up to 64 lines with one word
+// operation at any page size. The queue drains strictly FIFO from the head
+// run, so the sink receives runs of consecutive lines. Occupancy never
+// exceeds watermark-1+64 lines, even inside PushStores, which bounds both
+// the ring and the index.
+//
+// Exactness. PushStores takes a piece one group chunk at a time, with the
+// per-line semantics of PushStore: a line hits if it is resident; otherwise
+// it is appended, and once occupancy reaches the watermark the oldest line
+// drains. A chunk commits in bulk (hits counted, missed bit-runs appended,
+// then the excess drained oldest-first) in two cases. With no hits, a drain
+// between two of its lines cannot change a decision: drains only remove
+// lines, and the chunk's lines are distinct. With no more misses than free
+// slots below the watermark, nothing drains at all. Otherwise a drain inside
+// the chunk could evict a line the chunk would have hit, so the chunk takes
+// the per-line path.
 type WriteQueue struct {
 	geom      memsys.Geometry
+	lineShift int
 	watermark int
+	n         int // resident lines
 
-	ring     []memsys.VAddr // resident line addresses
+	ring     []lineRun
 	ringMask uint32
 	head     uint32 // free-running; slot = pos & ringMask
 	tail     uint32
 
-	idxKeys  []memsys.VAddr
-	idxState []uint8 // idxEmpty / idxTombstone / idxFull
+	idxGroup []uint64 // group of each slot
+	idxBits  []uint64 // resident-line bitmap of each slot; 0 marks it empty
 	idxMask  uint32
-	idxLive  int
-	idxDead  int
+	idxShift int // 64 - log2(len(idxBits))
 
-	drain func(line memsys.VAddr)
+	drain func(line memsys.VAddr, n uint64)
 	stats WriteQueueStats
 }
 
-const (
-	idxEmpty uint8 = iota
-	idxTombstone
-	idxFull
-)
+// lineRun is n resident lines from line index first on, all in one group.
+type lineRun struct {
+	first uint64
+	n     uint64
+}
 
 func nextPow2(n int) int {
 	p := 1
@@ -81,10 +97,14 @@ func nextPow2(n int) int {
 	return p
 }
 
-// NewWriteQueue builds one GPU's write queue. drain receives the
-// line-aligned address of every block leaving the queue toward the GPS
-// address translation unit, in order; it must not re-enter the queue.
-func NewWriteQueue(geom memsys.Geometry, capacity, watermark int, drain func(line memsys.VAddr)) *WriteQueue {
+// lowBits returns a mask of the n low bits, 1 <= n <= 64.
+func lowBits(n uint64) uint64 { return ^uint64(0) >> (64 - n) }
+
+// NewWriteQueue builds one GPU's write queue. drain receives every block
+// leaving the queue toward the GPS address translation unit, in order, as
+// runs of n consecutive lines from the line-aligned address line; it must
+// not re-enter the queue.
+func NewWriteQueue(geom memsys.Geometry, capacity, watermark int, drain func(line memsys.VAddr, n uint64)) *WriteQueue {
 	if capacity <= 0 {
 		panic("core: write queue capacity must be positive")
 	}
@@ -94,88 +114,75 @@ func NewWriteQueue(geom memsys.Geometry, capacity, watermark int, drain func(lin
 	if drain == nil {
 		panic("core: write queue needs a drain sink")
 	}
-	ringSize := nextPow2(capacity)
-	idxSize := nextPow2(4 * capacity) // load factor stays under 25% live
+	maxLines := watermark - 1 + 64
+	ringSize := nextPow2(maxLines)
+	idxSize := nextPow2(maxLines + maxLines/2) // load factor stays under 2/3
 	return &WriteQueue{
 		geom:      geom,
+		lineShift: geom.LineShift(),
 		watermark: watermark,
-		ring:      make([]memsys.VAddr, ringSize),
+		ring:      make([]lineRun, ringSize),
 		ringMask:  uint32(ringSize - 1),
-		idxKeys:   make([]memsys.VAddr, idxSize),
-		idxState:  make([]uint8, idxSize),
+		idxGroup:  make([]uint64, idxSize),
+		idxBits:   make([]uint64, idxSize),
 		idxMask:   uint32(idxSize - 1),
+		idxShift:  64 - bits.TrailingZeros(uint(idxSize)),
 		drain:     drain,
 	}
 }
 
 // Len returns the current occupancy in blocks.
-func (q *WriteQueue) Len() int { return int(q.tail - q.head) }
+func (q *WriteQueue) Len() int { return q.n }
 
-// idxHash spreads a line-aligned address (low bits all zero) across the
-// index via a Fibonacci multiply.
-func (q *WriteQueue) idxHash(line memsys.VAddr) uint32 {
-	return uint32(uint64(line)*0x9E3779B97F4A7C15>>32) & q.idxMask
-}
+// home returns the index slot group g probes first, spread by a Fibonacci
+// multiply.
+func (q *WriteQueue) home(g uint64) uint32 { return uint32(g * 0x9E3779B97F4A7C15 >> q.idxShift) }
 
-// idxFind reports whether line is resident.
-func (q *WriteQueue) idxFind(line memsys.VAddr) bool {
-	for i := q.idxHash(line); ; i = (i + 1) & q.idxMask {
-		switch q.idxState[i] {
-		case idxEmpty:
-			return false
-		case idxFull:
-			if q.idxKeys[i] == line {
-				return true
-			}
+// find returns the slot and resident-line bitmap of group g, or the empty
+// slot where g would go and 0.
+func (q *WriteQueue) find(g uint64) (uint32, uint64) {
+	for i := q.home(g); ; i = (i + 1) & q.idxMask {
+		if w := q.idxBits[i]; w == 0 || q.idxGroup[i] == g {
+			return i, w
 		}
 	}
 }
 
-// idxInsert records line. The caller guarantees line is absent.
-func (q *WriteQueue) idxInsert(line memsys.VAddr) {
-	if 2*(q.idxLive+q.idxDead) >= len(q.idxState) {
-		q.idxRehash()
+// clearLines removes the lines in mask from group g's bitmap, which holds
+// them all, and frees g's slot when no line of it is left.
+func (q *WriteQueue) clearLines(g, mask uint64) {
+	i, w := q.find(g)
+	if w &^= mask; w != 0 {
+		q.idxBits[i] = w
+		return
 	}
-	for i := q.idxHash(line); ; i = (i + 1) & q.idxMask {
-		if q.idxState[i] != idxFull {
-			if q.idxState[i] == idxTombstone {
-				q.idxDead--
-			}
-			q.idxState[i] = idxFull
-			q.idxKeys[i] = line
-			q.idxLive++
+	// Backward-shift deletion: pull each later entry of the probe cluster
+	// whose home slot is not in (i, j] into the hole, so every lookup still
+	// reaches its group without tombstones.
+	q.idxBits[i] = 0
+	for j := (i + 1) & q.idxMask; q.idxBits[j] != 0; j = (j + 1) & q.idxMask {
+		if (j-q.home(q.idxGroup[j]))&q.idxMask >= (j-i)&q.idxMask {
+			q.idxGroup[i], q.idxBits[i] = q.idxGroup[j], q.idxBits[j]
+			q.idxBits[j] = 0
+			i = j
+		}
+	}
+}
+
+// appendRun appends n lines from line index first, all in one group and
+// none resident, at the tail of the ring.
+func (q *WriteQueue) appendRun(first, n uint64) {
+	q.n += int(n)
+	// A run that starts inside a group and continues the tail run is in
+	// the tail run's group.
+	if q.head != q.tail && first&63 != 0 {
+		if t := &q.ring[(q.tail-1)&q.ringMask]; t.first+t.n == first {
+			t.n += n
 			return
 		}
 	}
-}
-
-// idxDelete removes line from the index. The caller guarantees presence.
-func (q *WriteQueue) idxDelete(line memsys.VAddr) {
-	for i := q.idxHash(line); ; i = (i + 1) & q.idxMask {
-		if q.idxState[i] == idxFull && q.idxKeys[i] == line {
-			q.idxState[i] = idxTombstone
-			q.idxLive--
-			q.idxDead++
-			return
-		}
-	}
-}
-
-// idxRehash clears accumulated tombstones by reinserting the live window.
-func (q *WriteQueue) idxRehash() {
-	clear(q.idxState)
-	q.idxLive, q.idxDead = 0, 0
-	for pos := q.head; pos != q.tail; pos++ {
-		line := q.ring[pos&q.ringMask]
-		for i := q.idxHash(line); ; i = (i + 1) & q.idxMask {
-			if q.idxState[i] != idxFull {
-				q.idxState[i] = idxFull
-				q.idxKeys[i] = line
-				q.idxLive++
-				break
-			}
-		}
-	}
+	q.ring[q.tail&q.ringMask] = lineRun{first, n}
+	q.tail++
 }
 
 // Contains reports whether the block holding va is resident in the queue.
@@ -183,7 +190,9 @@ func (q *WriteQueue) idxRehash() {
 // value from the remote write queue instead of issuing remotely
 // (Section 5.1).
 func (q *WriteQueue) Contains(va memsys.VAddr) bool {
-	return q.idxFind(q.geom.LineBase(va))
+	line := uint64(va) >> q.lineShift
+	_, w := q.find(line >> 6)
+	return w>>(line&63)&1 != 0
 }
 
 // Stats returns a snapshot of the queue's counters.
@@ -193,29 +202,76 @@ func (q *WriteQueue) Stats() WriteQueueStats { return q.stats }
 // and reports whether it coalesced into a resident block. Reaching the high
 // watermark drains the least recently added block.
 func (q *WriteQueue) PushStore(va memsys.VAddr) (coalesced bool) {
-	line := q.geom.LineBase(va)
+	return q.pushLine(uint64(va) >> q.lineShift)
+}
+
+// PushStores offers weak stores to the k consecutive lines from the
+// line-aligned address line, in address order, exactly as k PushStore calls
+// would, and returns how many coalesced. The lines must not wrap past the
+// top of the address space.
+func (q *WriteQueue) PushStores(line memsys.VAddr, k uint64) (hits int) {
+	for idx := uint64(line) >> q.lineShift; k > 0; {
+		g, off := idx>>6, idx&63
+		c := min(k, 64-off)
+		chunk := lowBits(c) << off
+		i, w := q.find(g)
+		hit := w & chunk
+		h := bits.OnesCount64(hit)
+		misses := int(c) - h
+		if hit != 0 && misses > q.watermark-1-q.n {
+			for j := idx; j < idx+c; j++ {
+				if q.pushLine(j) {
+					hits++
+				}
+			}
+		} else {
+			hits += h
+			q.stats.Stores += c
+			q.stats.Hits += uint64(h)
+			q.stats.Misses += uint64(misses)
+			if m := chunk &^ w; m != 0 {
+				q.idxGroup[i], q.idxBits[i] = g, w|m
+				for m != 0 {
+					lo := uint64(bits.TrailingZeros64(m))
+					n := uint64(bits.TrailingZeros64(^(m >> lo)))
+					q.appendRun(g<<6|lo, n)
+					m &^= lowBits(n) << lo
+				}
+				if over := q.n - (q.watermark - 1); over > 0 {
+					q.stats.Drains += uint64(over)
+					q.drainLines(over)
+				}
+			}
+		}
+		idx += c
+		k -= c
+	}
+	return hits
+}
+
+// pushLine offers a store to line index idx: the body of PushStore and the
+// per-line path of PushStores.
+func (q *WriteQueue) pushLine(idx uint64) (coalesced bool) {
 	q.stats.Stores++
-	if q.idxFind(line) {
+	g, bit := idx>>6, uint64(1)<<(idx&63)
+	i, w := q.find(g)
+	if w&bit != 0 {
 		q.stats.Hits++
 		return true
 	}
 	q.stats.Misses++
-	q.ring[q.tail&q.ringMask] = line
-	// Index before advancing tail: a rehash inside idxInsert re-indexes the
-	// live window [head, tail), and the new entry must not be in it yet or
-	// it would be indexed twice.
-	q.idxInsert(line)
-	q.tail++
-	if q.Len() >= q.watermark {
+	q.idxGroup[i], q.idxBits[i] = g, w|bit
+	q.appendRun(idx, 1)
+	if q.n >= q.watermark {
 		q.stats.Drains++
-		q.drainOldest()
+		q.drainLines(1)
 	}
 	return false
 }
 
 // PushAtomic offers an atomic RMW. The GPS write queue does not support
 // coalescing atomics (Section 7.4), so the operation passes straight through
-// to the drain sink.
+// to the drain sink as a one-line run.
 //
 // The pass-through reaches the sink ahead of every older resident block, so
 // an atomic can become visible before a weak store issued before it. The
@@ -226,7 +282,7 @@ func (q *WriteQueue) PushStore(va memsys.VAddr) (coalesced bool) {
 // still open.
 func (q *WriteQueue) PushAtomic(va memsys.VAddr) {
 	q.stats.Atomics++
-	q.drain(q.geom.LineBase(va))
+	q.drain(q.geom.LineBase(va), 1)
 }
 
 // Flush drains every resident block in insertion order. It models the
@@ -234,29 +290,33 @@ func (q *WriteQueue) PushAtomic(va memsys.VAddr) {
 // implicit release at the end of every grid (Section 3.3).
 func (q *WriteQueue) Flush() {
 	q.stats.FlushCalls++
-	q.stats.Flushes += uint64(q.Len())
-	for q.tail != q.head {
-		q.drainOldest()
-	}
+	q.stats.Flushes += uint64(q.n)
+	q.drainLines(q.n)
 }
 
 // Drain drains the least recently added block, as the watermark does, and
 // counts it in Stats().Drains. It reports false when the queue is empty.
 func (q *WriteQueue) Drain() bool {
-	if q.tail == q.head {
+	if q.n == 0 {
 		return false
 	}
 	q.stats.Drains++
-	q.drainOldest()
+	q.drainLines(1)
 	return true
 }
 
-func (q *WriteQueue) drainOldest() {
-	if q.tail == q.head {
-		panic("core: drainOldest on empty queue")
+// drainLines drains the cnt oldest resident lines, cnt <= Len(), handing
+// the sink one run per ring entry they cover.
+func (q *WriteQueue) drainLines(cnt int) {
+	for cnt > 0 {
+		r := &q.ring[q.head&q.ringMask]
+		first, n := r.first, min(uint64(cnt), r.n)
+		if r.first, r.n = first+n, r.n-n; r.n == 0 {
+			q.head++
+		}
+		q.clearLines(first>>6, lowBits(n)<<(first&63))
+		q.n -= int(n)
+		cnt -= int(n)
+		q.drain(memsys.VAddr(first<<q.lineShift), n)
 	}
-	line := q.ring[q.head&q.ringMask]
-	q.head++
-	q.idxDelete(line)
-	q.drain(line)
 }

@@ -77,7 +77,11 @@ func NewMachine(n int, pageBytes, lineBytes uint64) (*Machine, error) {
 		m.replicas = append(m.replicas, map[uint64]float64{})
 		m.pending = append(m.pending, map[uint64]*pendingLine{})
 		m.queues = append(m.queues, core.NewWriteQueue(geom, gps.WriteQueueEntries, gps.HighWatermark,
-			func(line memsys.VAddr) { m.deliver(g, uint64(line)) }))
+			func(line memsys.VAddr, n uint64) {
+				for i := uint64(0); i < n; i++ {
+					m.deliver(g, uint64(line)+i*lineBytes)
+				}
+			}))
 	}
 	return m, nil
 }

@@ -9,14 +9,6 @@ import (
 	"gps/internal/trace"
 )
 
-// gpsModel is the paper's proposal wired together end to end: shared
-// regions are allocated in the GPS address space with every GPU initially
-// subscribed (subscribed-by-default profiling, Section 5.2); conventional
-// TLB misses during the profiling iteration feed the access tracking unit;
-// cuGPSTrackingStop unsubscribes untouched pages and downgrades
-// single-subscriber pages; thereafter weak stores coalesce in the remote
-// write queue and fan out through the GPS address translation unit to every
-// remote subscriber's replica.
 // gpsMode selects the subscription management strategy (Section 3.2).
 type gpsMode int
 
@@ -33,6 +25,14 @@ const (
 	gpsUnsubscribedByDefault
 )
 
+// gpsModel is the paper's proposal wired together end to end: shared
+// regions are allocated in the GPS address space with every GPU initially
+// subscribed (subscribed-by-default profiling, Section 5.2); conventional
+// TLB misses during the profiling iteration feed the access tracking unit;
+// cuGPSTrackingStop unsubscribes untouched pages and downgrades
+// single-subscriber pages; thereafter weak stores coalesce in the remote
+// write queue and fan out through the GPS address translation unit to every
+// remote subscriber's replica.
 type gpsModel struct {
 	base
 	mgr     *core.Manager
@@ -127,7 +127,7 @@ func newGPS(meta trace.Meta, cfg Config, mode gpsMode) (*gpsModel, error) {
 		m.convTLB = append(m.convTLB, memsys.NewTLB[memsys.PTE](gpu.TLBEntries, gpu.TLBWays))
 		m.xu = append(m.xu, core.NewTranslationUnit(g, cfg.GPSTLBEntries, cfg.GPSTLBWays, mgr.GPSPageTable()))
 		m.wq = append(m.wq, core.NewWriteQueue(m.geom, cfg.WriteQueueEntries, cfg.WriteQueueWatermark,
-			func(line memsys.VAddr) { m.drained(g, line) }))
+			func(line memsys.VAddr, n uint64) { m.drained(g, line, n) }))
 	}
 
 	// Translation changes (unsubscription, downgrade, collapse) shoot down
@@ -164,15 +164,21 @@ func sharedSpan(regions []trace.Region) (lo, hi uint64) {
 	return lo, hi
 }
 
-// drained extends gpu's drain run by one line leaving its write queue,
-// settling the run first when the line is on another page.
-func (m *gpsModel) drained(gpu int, line memsys.VAddr) {
+// drained extends gpu's drain run by n consecutive lines from line leaving
+// its write queue, settling the run first at each line on another page. A
+// queue run stays in one 64-line group, which can span two small pages.
+func (m *gpsModel) drained(gpu int, line memsys.VAddr, n uint64) {
 	r := &m.runs[gpu]
-	if vpn := m.geom.VPNOf(line); vpn != r.vpn || r.n == 0 {
-		m.settle(gpu)
-		r.vpn = vpn
+	for n > 0 {
+		k := min(n, (m.geom.PageBytes-m.geom.PageOffset(line))/lineBytes)
+		if vpn := m.geom.VPNOf(line); vpn != r.vpn || r.n == 0 {
+			m.settle(gpu)
+			r.vpn = vpn
+		}
+		r.n += k
+		line += memsys.VAddr(k * lineBytes)
+		n -= k
 	}
-	r.n++
 }
 
 // settle translates gpu's drain run with one translation-unit call and
@@ -229,11 +235,12 @@ func (m *gpsModel) isManual(vpn uint64) bool {
 
 // Access takes each span as one page piece (the engine cuts spans at page
 // ends): it translates the piece's first line, charges the piece's bytes at
-// once wherever every line takes the same decision, and keeps only the
-// GPS-page work per line (write-queue forwarding and pushes). A line that
-// remaps the page (a sys-scoped collapse, an unsubscribed-by-default
-// subscription) shoots down the TLB entry, so it ends its piece and the rest
-// is translated again; such a line always starts its piece. The k-1 lines
+// once wherever every line takes the same decision, and pushes a piece of
+// weak stores to the write queue in one call. Only write-queue forwarding
+// and atomics, which never coalesce, stay per line. A line that remaps the
+// page (a sys-scoped collapse, an unsubscribed-by-default subscription)
+// shoots down the TLB entry, so it ends its piece and the rest is
+// translated again; such a line always starts its piece. The k-1 lines
 // after the first then hit (or, for lines outside every allocation, miss)
 // exactly as k-1 Lookups would, which LookupN counts in one probe.
 func (m *gpsModel) Access(gpu int, b *engine.Batch) {
@@ -285,12 +292,12 @@ func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 					// Local replica updated on the store path (W3 in Figure 7).
 					prof.LocalBytes += bytes
 				}
-				for i := uint64(0); i < uint64(k); i++ {
-					if va := memsys.VAddr(line + i*lineBytes); s.Op == trace.OpAtomic {
-						wq.PushAtomic(va)
-					} else {
-						wq.PushStore(va)
+				if s.Op == trace.OpAtomic {
+					for i := uint64(0); i < uint64(k); i++ {
+						wq.PushAtomic(memsys.VAddr(line + i*lineBytes))
 					}
+				} else {
+					wq.PushStores(memsys.VAddr(line), uint64(k))
 				}
 			}
 			if k > 1 {

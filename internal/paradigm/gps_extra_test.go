@@ -196,6 +196,46 @@ func TestGPSPieceEndsMatchLines(t *testing.T) {
 	}
 }
 
+// TestGPSDrainRunsSplitAtPageEnds pins the page split of drained runs: at
+// 4 KB pages a 64-line queue group spans two pages, so two consecutive
+// 32-line store pieces leave the queue as one run across a page end. The
+// model must translate it as one run per page, as one-line spans do: two
+// GPS-TLB misses and 62 hits, and every line pushed to the other GPU.
+func TestGPSDrainRunsSplitAtPageEnds(t *testing.T) {
+	base := uint64(1) << 33
+	var stores []trace.Access
+	for i := 0; i < 64; i += 2 { // lines 0-31 on one page, 32-63 on the next
+		stores = append(stores, trace.Access{Op: trace.OpStore, Scope: trace.ScopeWeak, Pattern: trace.PatContiguous, Threads: 32, ElemBytes: 8, Addr: base + uint64(i)*lineBytes})
+	}
+	prog := &trace.Recorded{
+		M: trace.Meta{Name: "split", NumGPUs: 2,
+			Regions: []trace.Region{{Name: "s", Kind: trace.RegionShared, Base: base, Size: 1 << 20}}},
+		Ph: []trace.Phase{{Index: 0, Kernels: []trace.Kernel{{GPU: 0, ComputeOps: 1, Col: trace.EncodeColumns(stores)}}}},
+	}
+	cfg := DefaultConfig()
+	cfg.PageBytes = 4 << 10
+	spans, err := New(KindGPS, prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := New(KindGPS, prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := engine.RunFused(prog, []engine.Model{spans, &lineSplitter{Model: lines}}, nil)
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Errorf("span replay differs from one-line spans\nspans: %+v\nlines: %+v", res[0], res[1])
+	}
+	for i, r := range res {
+		if got, want := r.Phases[0].Profiles[0].Push[1], uint64(64*lineBytes); got != want {
+			t.Errorf("replay %d: GPU 0 pushed %d bytes to GPU 1, want %d", i, got, want)
+		}
+		if got, want := r.GPSTLBHitRate[0], 62.0/64; got != want {
+			t.Errorf("replay %d: GPU 0 GPS-TLB hit rate %v, want %v (one miss per page)", i, got, want)
+		}
+	}
+}
+
 // TestGPSDrainRunsSettleBeforeRemap pins the settle rule of GPS drain
 // runs: a run of drained lines of one page is translated before any manager
 // call that can remap the page, so its lines replicate to the subscribers
