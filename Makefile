@@ -88,7 +88,8 @@ benchgate:
 
 ## chaos: the resilience gate — fault-injected suites and the terminal
 ## accounting invariant under -race, fuzz passes over the trace decoders,
-## the run encoder, journal replay and random funcsim programs, and the
+## the run encoder, journal replay, random funcsim programs, the write queue
+## and the memory manager against their references, and the
 ## SIGKILL crash-recovery smoke.
 chaos:
 	$(GO) test -race ./internal/faultinject/ ./internal/retry/
@@ -102,4 +103,5 @@ chaos:
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz=FuzzFuncsimPrograms -fuzztime=10s ./internal/funcsim/
 	$(GO) test -run '^$$' -fuzz=FuzzWriteQueue -fuzztime=10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz=FuzzManager -fuzztime=10s ./internal/core/
 	sh scripts/chaos_smoke.sh

@@ -7,36 +7,49 @@ import (
 	"gps/internal/memsys"
 )
 
-// ManagerStats counts driver-level subscription activity.
-type ManagerStats struct {
-	GPSPages      int    // pages currently replicated (GPS bit set, >1 subscriber)
-	PinnedPages   int    // conventional pages
-	Unsubscribes  uint64 // page unsubscriptions performed
-	Downgrades    uint64 // GPS pages demoted to conventional (single subscriber)
-	Collapses     uint64 // sys-scope collapses (Section 5.3)
-	ReplicaFrames uint64 // physical frames currently backing replicas
+// pageKind is an allocated page's kind; the zero value marks an absent page.
+type pageKind uint8
+
+const (
+	pageAbsent    pageKind = iota
+	pagePinned             // conventional page allocated by AllocPinned
+	pageGPS                // replicated GPS page: the GPS bit is set on every GPU
+	pageCollapsed          // GPS page downgraded or collapsed to a single copy
+)
+
+// pageEntry is the manager's whole state for one page. subs is the
+// subscriber set (the single owner once the page is pinned or collapsed).
+// host[g] is the GPU that GPU g's accesses go to: g itself for a
+// subscriber, and for a non-subscriber the first subscriber at the moment
+// its mapping was last written (at allocation, or when it left). It is
+// history, not a function of subs: a GPU that left keeps mapping the host
+// it left to, even after that host leaves too.
+type pageEntry struct {
+	kind   pageKind
+	manual bool // manual subscriptions: profiling never prunes the page
+	subs   memsys.SubscriberSet
+	host   [memsys.MaxGPUs]uint8
 }
 
-// pageState is the driver's canonical view of one allocated page.
-type pageState struct {
-	gpsRegion  bool // allocated through AllocGPS
-	downgraded bool // GPS page demoted to a single-copy conventional page
-	owner      int  // for conventional/downgraded pages: the hosting GPU
+// Mapping is one GPU's translation of a page: the GPU its accesses go to
+// and the GPS bit (stores to the page fork to the GPS unit, Section 5.2).
+type Mapping struct {
+	Owner uint8
+	GPS   bool
 }
 
-// Manager is the GPS driver's memory manager: it owns every GPU's
-// conventional page table, the shared GPS page table, and the physical frame
-// allocators, and implements allocation, manual and automatic subscription,
-// profiling-driven unsubscription, downgrade of single-subscriber pages, and
-// sys-scope collapse.
+// Manager is the GPS driver's memory manager. It keeps one table of page
+// state, from which every GPU's translation and the GPS address
+// translation units' subscriber sets are read, and a used-page count per
+// GPU against its memory capacity. It implements allocation, manual and
+// automatic subscription, profiling-driven unsubscription, downgrade of
+// single-subscriber pages, and sys-scope collapse.
 type Manager struct {
-	geom    memsys.Geometry
-	numGPUs int
-	conv    []*memsys.PageTable
-	phys    []*memsys.PhysMem
-	gpsPT   *memsys.GPSPageTable
-	pages   map[memsys.VPN]*pageState
-	stats   ManagerStats
+	geom     memsys.Geometry
+	numGPUs  int
+	pages    *memsys.PageMap[pageEntry]
+	used     []uint64 // pages held per GPU
+	capacity uint64   // pages each GPU can hold
 
 	// onRemap, when set, is invoked for every page whose translation
 	// changed, so the engine can shoot down conventional and GPS TLBs.
@@ -49,41 +62,21 @@ func NewManager(geom memsys.Geometry, numGPUs int, memPerGPU uint64) (*Manager, 
 	if numGPUs < 1 || numGPUs > memsys.MaxGPUs {
 		return nil, fmt.Errorf("core: GPU count %d out of range", numGPUs)
 	}
-	m := &Manager{
-		geom:    geom,
-		numGPUs: numGPUs,
-		gpsPT:   memsys.NewGPSPageTable(geom, numGPUs),
-		pages:   map[memsys.VPN]*pageState{},
+	if memPerGPU < geom.PageBytes {
+		return nil, fmt.Errorf("core: capacity %d below one page", memPerGPU)
 	}
-	for g := 0; g < numGPUs; g++ {
-		pm, err := memsys.NewPhysMem(g, memPerGPU, geom.PageBytes)
-		if err != nil {
-			return nil, err
-		}
-		m.phys = append(m.phys, pm)
-		m.conv = append(m.conv, memsys.NewPageTable(geom))
-	}
-	return m, nil
+	return &Manager{
+		geom:     geom,
+		numGPUs:  numGPUs,
+		pages:    memsys.NewPageMap[pageEntry](geom.PageBytes),
+		used:     make([]uint64, numGPUs),
+		capacity: memPerGPU / geom.PageBytes,
+	}, nil
 }
 
 // SetRemapHook installs a callback fired for every page whose translation
 // changes (for TLB shootdown modeling).
 func (m *Manager) SetRemapHook(fn func(vpn memsys.VPN)) { m.onRemap = fn }
-
-// NumGPUs returns the system's GPU count.
-func (m *Manager) NumGPUs() int { return m.numGPUs }
-
-// Geometry returns the translation geometry.
-func (m *Manager) Geometry() memsys.Geometry { return m.geom }
-
-// GPSPageTable exposes the shared wide page table for the translation units.
-func (m *Manager) GPSPageTable() *memsys.GPSPageTable { return m.gpsPT }
-
-// PageTable returns gpu's conventional page table.
-func (m *Manager) PageTable(gpu int) *memsys.PageTable { return m.conv[gpu] }
-
-// PhysMem returns gpu's physical allocator.
-func (m *Manager) PhysMem(gpu int) *memsys.PhysMem { return m.phys[gpu] }
 
 func (m *Manager) remapped(vpn memsys.VPN) {
 	if m.onRemap != nil {
@@ -91,29 +84,93 @@ func (m *Manager) remapped(vpn memsys.VPN) {
 	}
 }
 
+// entry returns vpn's page entry, or nil if the page is not allocated.
+func (m *Manager) entry(vpn memsys.VPN) *pageEntry {
+	if e := m.pages.Peek(uint64(vpn)); e != nil && e.kind != pageAbsent {
+		return e
+	}
+	return nil
+}
+
+// Translate returns gpu's mapping of vpn, or false if the page is not
+// allocated.
+func (m *Manager) Translate(gpu int, vpn memsys.VPN) (Mapping, bool) {
+	e := m.entry(vpn)
+	if e == nil {
+		return Mapping{}, false
+	}
+	return Mapping{Owner: e.host[gpu], GPS: e.kind == pageGPS}, true
+}
+
+// gpsSubscribers returns vpn's subscriber set, or false if vpn is not a
+// replicated GPS page.
+func (m *Manager) gpsSubscribers(vpn memsys.VPN) (memsys.SubscriberSet, bool) {
+	if e := m.entry(vpn); e != nil && e.kind == pageGPS {
+		return e.subs, true
+	}
+	return 0, false
+}
+
+// Subscribers returns the current subscriber set of a page: the replicas
+// of a GPS page, or the single owner of a pinned or collapsed page.
+func (m *Manager) Subscribers(vpn memsys.VPN) memsys.SubscriberSet {
+	if e := m.entry(vpn); e != nil {
+		return e.subs
+	}
+	return 0
+}
+
+// Manual reports whether vpn was allocated with manual subscriptions.
+func (m *Manager) Manual(vpn memsys.VPN) bool {
+	e := m.entry(vpn)
+	return e != nil && e.manual
+}
+
+// room fails with memsys.ErrOutOfMemory if gpu's memory is full.
+func (m *Manager) room(gpu int) error {
+	if m.used[gpu] >= m.capacity {
+		return fmt.Errorf("%w: GPU %d (%d pages)", memsys.ErrOutOfMemory, gpu, m.capacity)
+	}
+	return nil
+}
+
+// fresh returns vpn's entry for a new allocation, failing if the page is
+// already allocated.
+func (m *Manager) fresh(vpn memsys.VPN) (*pageEntry, error) {
+	e := m.pages.At(uint64(vpn))
+	if e.kind != pageAbsent {
+		return nil, fmt.Errorf("core: page %#x already allocated", uint64(vpn))
+	}
+	return e, nil
+}
+
+// single makes e a one-copy page of the given kind on owner, mapped there
+// by every GPU.
+func (m *Manager) single(e *pageEntry, kind pageKind, owner int) {
+	e.kind = kind
+	e.subs = memsys.SetOf(owner)
+	for g := 0; g < m.numGPUs; g++ {
+		e.host[g] = uint8(owner)
+	}
+}
+
 // AllocPinned allocates [base, base+size) as conventional pages resident on
-// gpu (cudaMalloc semantics with peer mappings in every GPU's page table).
+// gpu (cudaMalloc semantics with peer mappings on every GPU).
 func (m *Manager) AllocPinned(base memsys.VAddr, size uint64, gpu int) error {
 	if gpu < 0 || gpu >= m.numGPUs {
 		return fmt.Errorf("core: GPU %d out of range", gpu)
 	}
-	for g := 0; g < m.numGPUs; g++ {
-		m.conv[g].Reserve(base, size)
-	}
+	m.reserve(base, size)
 	for _, vpn := range m.geom.PagesIn(base, size) {
-		if _, exists := m.pages[vpn]; exists {
-			return fmt.Errorf("core: page %#x already allocated", uint64(vpn))
-		}
-		ppn, err := m.phys[gpu].Alloc()
+		e, err := m.fresh(vpn)
 		if err != nil {
 			return err
 		}
-		for g := 0; g < m.numGPUs; g++ {
-			m.conv[g].Map(vpn, memsys.PTE{Valid: true, PPN: ppn, Owner: gpu})
+		if err := m.room(gpu); err != nil {
+			return err
 		}
-		m.pages[vpn] = &pageState{owner: gpu}
-		m.stats.PinnedPages++
-		m.stats.ReplicaFrames++
+		m.used[gpu]++
+		m.single(e, pagePinned, gpu)
 	}
 	return nil
 }
@@ -121,107 +178,75 @@ func (m *Manager) AllocPinned(base memsys.VAddr, size uint64, gpu int) error {
 // AllocGPS allocates [base, base+size) in the GPS address space with the
 // given initial subscribers (cudaMallocGPS; automatic mode starts with all
 // GPUs subscribed). Every subscriber receives a local replica; GPUs outside
-// the set receive a remote mapping to the first subscriber.
-func (m *Manager) AllocGPS(base memsys.VAddr, size uint64, subs memsys.SubscriberSet) error {
+// the set map the first subscriber. Manual pages keep their subscriptions
+// through ApplyProfile.
+func (m *Manager) AllocGPS(base memsys.VAddr, size uint64, subs memsys.SubscriberSet, manual bool) error {
 	if subs.Empty() {
 		return errors.New("core: GPS allocation needs at least one subscriber")
 	}
 	if subs.First() >= m.numGPUs || subs != subs.Intersect(memsys.AllGPUs(m.numGPUs)) {
 		return fmt.Errorf("core: subscriber set %v exceeds %d GPUs", subs, m.numGPUs)
 	}
-	// Reserve the dense page-table slabs up front: the translation units
-	// cache *GPSPTE pointers, which must not be invalidated by slab growth
-	// once handed out.
-	m.gpsPT.Reserve(base, size)
-	for g := 0; g < m.numGPUs; g++ {
-		m.conv[g].Reserve(base, size)
-	}
+	host := uint8(subs.First())
+	m.reserve(base, size)
 	for _, vpn := range m.geom.PagesIn(base, size) {
-		if _, exists := m.pages[vpn]; exists {
-			return fmt.Errorf("core: page %#x already allocated", uint64(vpn))
+		e, err := m.fresh(vpn)
+		if err != nil {
+			return err
 		}
-		var allocErr error
-		subs.ForEach(func(g int) {
-			if allocErr != nil {
-				return
-			}
-			ppn, err := m.phys[g].Alloc()
-			if err != nil {
-				allocErr = err
-				return
-			}
-			m.gpsPT.Subscribe(vpn, g, ppn)
-			m.conv[g].Map(vpn, memsys.PTE{Valid: true, GPS: true, PPN: ppn, Owner: g})
-			m.stats.ReplicaFrames++
-		})
-		if allocErr != nil {
-			return allocErr
-		}
-		host := subs.First()
-		hostPPN := m.gpsPT.Lookup(vpn).ReplicaOn(host)
+		// Check every subscriber's room first, so a failed page takes none.
 		for g := 0; g < m.numGPUs; g++ {
-			if !subs.Has(g) {
-				m.conv[g].Map(vpn, memsys.PTE{Valid: true, GPS: true, PPN: hostPPN, Owner: host})
+			if subs.Has(g) {
+				if err := m.room(g); err != nil {
+					return err
+				}
 			}
 		}
-		m.pages[vpn] = &pageState{gpsRegion: true}
-		m.stats.GPSPages++
+		e.kind, e.manual, e.subs = pageGPS, manual, subs
+		for g := 0; g < m.numGPUs; g++ {
+			e.host[g] = host
+			if subs.Has(g) {
+				e.host[g] = uint8(g)
+				m.used[g]++
+			}
+		}
 	}
 	return nil
 }
 
-// Subscribers returns the current subscriber set of a page: the GPS page
-// table's set while replicated, or the single owner after downgrade.
-func (m *Manager) Subscribers(vpn memsys.VPN) memsys.SubscriberSet {
-	if e := m.gpsPT.Lookup(vpn); e != nil {
-		return e.Subscribers
+// reserve sizes the page table for [base, base+size) in one step, so an
+// allocation does not grow a slab page by page.
+func (m *Manager) reserve(base memsys.VAddr, size uint64) {
+	if size == 0 {
+		return
 	}
-	if st, ok := m.pages[vpn]; ok {
-		return memsys.SetOf(st.owner)
-	}
-	return 0
-}
-
-// IsGPSPage reports whether stores to vpn fork to the GPS unit (the GPS bit
-// as seen by gpu's conventional TLB).
-func (m *Manager) IsGPSPage(gpu int, vpn memsys.VPN) bool {
-	pte := m.conv[gpu].Lookup(vpn)
-	return pte != nil && pte.GPS
+	first := m.geom.VPNOf(base)
+	last := m.geom.VPNOf(base + memsys.VAddr(size-1))
+	m.pages.Reserve(uint64(first), uint64(last-first)+1)
 }
 
 // Subscribe adds gpu as a subscriber to every page of [base, base+size),
-// allocating local replicas (CU_MEM_ADVISE_GPS_SUBSCRIBE). Subscribing to a
-// downgraded page re-promotes it to a replicated GPS page.
+// allocating local replicas (CU_MEM_ADVISE_GPS_SUBSCRIBE). A page that was
+// downgraded or collapsed to one copy stays conventional: subscribing to it
+// fails.
 func (m *Manager) Subscribe(gpu int, base memsys.VAddr, size uint64) error {
 	if gpu < 0 || gpu >= m.numGPUs {
 		return fmt.Errorf("core: GPU %d out of range", gpu)
 	}
 	for _, vpn := range m.geom.PagesIn(base, size) {
-		st, ok := m.pages[vpn]
-		if !ok || !st.gpsRegion {
-			return fmt.Errorf("core: page %#x is not a GPS page", uint64(vpn))
+		e := m.entry(vpn)
+		if e == nil || e.kind != pageGPS {
+			return fmt.Errorf("core: page %#x is not a replicated GPS page", uint64(vpn))
 		}
-		if st.downgraded {
-			// Re-promote: the current owner becomes a subscriber again.
-			ownerPTE := m.conv[st.owner].Lookup(vpn)
-			m.gpsPT.Subscribe(vpn, st.owner, ownerPTE.PPN)
-			ownerPTE.GPS = true
-			st.downgraded = false
-			m.stats.Downgrades-- // promotion cancels a downgrade in the census
-			m.stats.GPSPages++
-			m.stats.PinnedPages--
-		}
-		e := m.gpsPT.Lookup(vpn)
-		if e.Subscribers.Has(gpu) {
+		if e.subs.Has(gpu) {
 			continue
 		}
-		ppn, err := m.phys[gpu].Alloc()
-		if err != nil {
+		if err := m.room(gpu); err != nil {
 			return err
 		}
-		m.gpsPT.Subscribe(vpn, gpu, ppn)
-		m.conv[gpu].Map(vpn, memsys.PTE{Valid: true, GPS: true, PPN: ppn, Owner: gpu})
-		m.stats.ReplicaFrames++
+		m.used[gpu]++
+		e.subs = e.subs.Add(gpu)
+		e.host[gpu] = uint8(gpu)
 		m.remapped(vpn)
 	}
 	return nil
@@ -243,176 +268,90 @@ func (m *Manager) Unsubscribe(gpu int, base memsys.VAddr, size uint64) error {
 }
 
 func (m *Manager) unsubscribePage(gpu int, vpn memsys.VPN) error {
-	st, ok := m.pages[vpn]
-	if !ok || !st.gpsRegion || st.downgraded {
+	e := m.entry(vpn)
+	if e == nil || e.kind != pageGPS {
 		return fmt.Errorf("core: page %#x is not a replicated GPS page", uint64(vpn))
 	}
-	ppn, err := m.gpsPT.Unsubscribe(vpn, gpu)
-	if err != nil {
-		return err
+	if !e.subs.Has(gpu) {
+		return fmt.Errorf("core: GPU %d is not subscribed to page %#x", gpu, uint64(vpn))
 	}
-	m.phys[gpu].Free(ppn)
-	m.stats.ReplicaFrames--
-	m.stats.Unsubscribes++
-	e := m.gpsPT.Lookup(vpn)
-	host := e.Subscribers.First()
-	hostPPN := e.ReplicaOn(host)
+	if e.subs.Count() == 1 {
+		return memsys.ErrLastSubscriber
+	}
+	m.used[gpu]--
+	e.subs = e.subs.Remove(gpu)
 	// The leaver now maps the page remotely; the GPS bit stays set so its
 	// (unexpected) stores still replicate to real subscribers.
-	m.conv[gpu].Map(vpn, memsys.PTE{Valid: true, GPS: true, PPN: hostPPN, Owner: host})
-	m.remapped(vpn)
-	if e.Subscribers.Count() == 1 {
-		m.downgrade(vpn, host)
+	e.host[gpu] = uint8(e.subs.First())
+	if e.subs.Count() == 1 {
+		m.single(e, pageCollapsed, e.subs.First())
 	}
+	m.remapped(vpn)
 	return nil
 }
 
-// downgrade demotes a single-subscriber GPS page to a conventional page
-// hosted by owner.
-func (m *Manager) downgrade(vpn memsys.VPN, owner int) {
-	e := m.gpsPT.Lookup(vpn)
-	ppn := e.ReplicaOn(owner)
-	m.gpsPT.Drop(vpn)
-	for g := 0; g < m.numGPUs; g++ {
-		m.conv[g].Map(vpn, memsys.PTE{Valid: true, PPN: ppn, Owner: owner})
-	}
-	st := m.pages[vpn]
-	st.downgraded = true
-	st.owner = owner
-	m.stats.Downgrades++
-	m.stats.GPSPages--
-	m.stats.PinnedPages++
-	m.remapped(vpn)
-}
-
 // ApplyProfile performs the cuGPSTrackingStop() unsubscription sweep: every
-// GPS page loses the subscribers that did not touch it during profiling. A
-// page nobody touched keeps its first subscriber (at least one replica must
-// remain). Pages for which skip returns true (manually managed
-// subscriptions) are left untouched; a nil skip considers every page. It
-// returns the number of unsubscriptions performed.
-func (m *Manager) ApplyProfile(t *AccessTracker, skip func(memsys.VPN) bool) int {
-	type cut struct {
-		vpn memsys.VPN
-		gpu int
-	}
-	var cuts []cut
-	m.gpsPT.ForEach(func(vpn memsys.VPN, e *memsys.GPSPTE) {
-		if skip != nil && skip(vpn) {
+// replicated GPS page without manual subscriptions loses the subscribers
+// that did not touch it during profiling. A page nobody touched keeps its
+// first subscriber (at least one replica must remain). Pages are cut in
+// ascending page order and each page's leavers in ascending GPU order,
+// which decides the host each leaver maps. It returns the number of
+// unsubscriptions performed.
+func (m *Manager) ApplyProfile(t *AccessTracker) int {
+	cuts := 0
+	m.pages.ForEach(func(v uint64, e *pageEntry) {
+		if e.kind != pageGPS || e.manual {
 			return
 		}
-		touched := t.TouchedBy(vpn).Intersect(e.Subscribers)
+		vpn := memsys.VPN(v)
+		subs := e.subs
+		touched := t.TouchedBy(vpn).Intersect(subs)
 		keepOne := touched.Empty()
-		e.Subscribers.ForEach(func(g int) {
-			if touched.Has(g) {
+		subs.ForEach(func(g int) {
+			if touched.Has(g) || keepOne && g == subs.First() {
 				return
 			}
-			if keepOne && g == e.Subscribers.First() {
-				return
+			// The guard above keeps one subscriber, so this cannot fail.
+			if err := m.unsubscribePage(g, vpn); err != nil {
+				panic(fmt.Sprintf("core: profile unsubscribe: %v", err))
 			}
-			cuts = append(cuts, cut{vpn, g})
+			cuts++
 		})
 	})
-	for _, c := range cuts {
-		// Unsubscribe can still fail on the last subscriber when every
-		// subscriber was untouched; the guard above keeps the first.
-		if err := m.unsubscribePage(c.gpu, c.vpn); err != nil {
-			panic(fmt.Sprintf("core: profile unsubscribe: %v", err))
-		}
-	}
-	return len(cuts)
+	return cuts
 }
 
 // CollapseSysScoped handles a sys-scoped store to a GPS page (Section 5.3):
 // the page collapses to a single copy on the writing GPU, is demoted to a
 // conventional page, and all other replicas are freed.
 func (m *Manager) CollapseSysScoped(writer int, vpn memsys.VPN) error {
-	st, ok := m.pages[vpn]
-	if !ok || !st.gpsRegion {
+	e := m.entry(vpn)
+	if e == nil || e.kind == pagePinned {
 		return fmt.Errorf("core: page %#x is not a GPS page", uint64(vpn))
 	}
-	if st.downgraded {
+	if e.kind == pageCollapsed {
 		return nil // already a single copy
 	}
-	e := m.gpsPT.Lookup(vpn)
 	host := writer
-	if !e.Subscribers.Has(writer) {
+	if !e.subs.Has(writer) {
 		// The writer holds no replica: collapse to the first subscriber.
-		host = e.Subscribers.First()
+		host = e.subs.First()
 	}
-	hostPPN := e.ReplicaOn(host)
-	e.Subscribers.ForEach(func(g int) {
-		if g == host {
-			return
-		}
-		m.phys[g].Free(e.ReplicaOn(g))
-		m.stats.ReplicaFrames--
-	})
-	m.gpsPT.Drop(vpn)
-	for g := 0; g < m.numGPUs; g++ {
-		m.conv[g].Map(vpn, memsys.PTE{Valid: true, PPN: hostPPN, Owner: host})
-	}
-	st.downgraded = true
-	st.owner = host
-	m.stats.Collapses++
-	m.stats.GPSPages--
-	m.stats.PinnedPages++
+	e.subs.Remove(host).ForEach(func(g int) { m.used[g]-- })
+	m.single(e, pageCollapsed, host)
 	m.remapped(vpn)
 	return nil
 }
 
-// EvictSubscriber handles memory oversubscription (Section 5.3): the
-// driver swaps gpu's replica of vpn out, unsubscribing it, so gpu accesses
-// the page remotely from now on. It is Unsubscribe with oversubscription
-// semantics: evicting down to the final copy is refused (the last replica
-// is never swapped).
-func (m *Manager) EvictSubscriber(gpu int, vpn memsys.VPN) error {
-	return m.unsubscribePage(gpu, vpn)
-}
-
-// Free releases every page of [base, base+size), GPS or conventional.
-func (m *Manager) Free(base memsys.VAddr, size uint64) error {
-	for _, vpn := range m.geom.PagesIn(base, size) {
-		st, ok := m.pages[vpn]
-		if !ok {
-			return fmt.Errorf("core: freeing unallocated page %#x", uint64(vpn))
-		}
-		if e := m.gpsPT.Lookup(vpn); e != nil {
-			e.Subscribers.ForEach(func(g int) {
-				m.phys[g].Free(e.ReplicaOn(g))
-				m.stats.ReplicaFrames--
-			})
-			m.gpsPT.Drop(vpn)
-			m.stats.GPSPages--
-		} else {
-			m.phys[st.owner].Free(m.conv[st.owner].Lookup(vpn).PPN)
-			m.stats.ReplicaFrames--
-			m.stats.PinnedPages--
-		}
-		for g := 0; g < m.numGPUs; g++ {
-			m.conv[g].Unmap(vpn)
-		}
-		delete(m.pages, vpn)
-		m.remapped(vpn)
-	}
-	return nil
-}
-
-// Stats returns a snapshot of manager activity.
-func (m *Manager) Stats() ManagerStats { return m.stats }
-
-// SubscriberHistogram returns, for GPS-region pages currently replicated,
-// how many pages have each subscriber count — the data behind Figure 9.
+// SubscriberHistogram returns, for GPS-region pages, how many pages have
+// each subscriber count — the data behind Figure 9. Downgraded and
+// collapsed pages count as single-subscriber pages.
 func (m *Manager) SubscriberHistogram() map[int]int {
 	h := map[int]int{}
-	m.gpsPT.ForEach(func(vpn memsys.VPN, e *memsys.GPSPTE) {
-		h[e.Subscribers.Count()]++
-	})
-	// Downgraded GPS pages count as single-subscriber pages.
-	for _, st := range m.pages {
-		if st.gpsRegion && st.downgraded {
-			h[1]++
+	m.pages.ForEach(func(_ uint64, e *pageEntry) {
+		if e.kind == pageGPS || e.kind == pageCollapsed {
+			h[e.subs.Count()]++
 		}
-	}
+	})
 	return h
 }

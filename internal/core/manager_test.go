@@ -18,9 +18,18 @@ func newTestManager(t *testing.T, gpus int) *Manager {
 
 const page = 64 << 10
 
+// wantMapping fails unless gpu maps vpn to owner with the given GPS bit.
+func wantMapping(t *testing.T, m *Manager, gpu int, vpn memsys.VPN, owner int, gps bool) {
+	t.Helper()
+	got, ok := m.Translate(gpu, vpn)
+	if want := (Mapping{Owner: uint8(owner), GPS: gps}); !ok || got != want {
+		t.Fatalf("GPU %d mapping of page %d = %+v (allocated %v), want %+v", gpu, vpn, got, ok, want)
+	}
+}
+
 func TestAllocGPSCreatesReplicasEverywhere(t *testing.T) {
 	m := newTestManager(t, 4)
-	if err := m.AllocGPS(0, 2*page, memsys.AllGPUs(4)); err != nil {
+	if err := m.AllocGPS(0, 2*page, memsys.AllGPUs(4), false); err != nil {
 		t.Fatal(err)
 	}
 	for vpn := memsys.VPN(0); vpn < 2; vpn++ {
@@ -28,31 +37,29 @@ func TestAllocGPSCreatesReplicasEverywhere(t *testing.T) {
 			t.Fatalf("page %d subscribers = %v", vpn, got)
 		}
 		for g := 0; g < 4; g++ {
-			pte := m.PageTable(g).Lookup(vpn)
-			if pte == nil || !pte.GPS || pte.Owner != g {
-				t.Fatalf("GPU %d PTE for page %d = %+v", g, vpn, pte)
-			}
+			wantMapping(t, m, g, vpn, g, true)
 		}
 	}
-	if m.Stats().ReplicaFrames != 8 {
-		t.Fatalf("replica frames = %d, want 8", m.Stats().ReplicaFrames)
+	for g, used := range m.used {
+		if used != 2 {
+			t.Fatalf("GPU %d holds %d pages, want 2", g, used)
+		}
 	}
-	if used := m.PhysMem(0).UsedBytes(); used != 2*page {
-		t.Fatalf("GPU0 used = %d, want two pages", used)
+	if _, ok := m.Translate(0, 2); ok {
+		t.Fatal("page past the allocation translates")
 	}
 }
 
 func TestAllocGPSPartialSubscribers(t *testing.T) {
 	m := newTestManager(t, 4)
-	if err := m.AllocGPS(0, page, memsys.SetOf(1, 2)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.SetOf(1, 2), false); err != nil {
 		t.Fatal(err)
 	}
 	// Non-subscribers map remotely to the first subscriber.
-	pte := m.PageTable(0).Lookup(0)
-	if pte == nil || !pte.GPS || pte.Owner != 1 {
-		t.Fatalf("non-subscriber PTE = %+v, want remote to GPU1", pte)
-	}
-	if m.PhysMem(0).UsedBytes() != 0 || m.PhysMem(3).UsedBytes() != 0 {
+	wantMapping(t, m, 0, 0, 1, true)
+	wantMapping(t, m, 3, 0, 1, true)
+	wantMapping(t, m, 2, 0, 2, true)
+	if m.used[0] != 0 || m.used[3] != 0 {
 		t.Fatal("non-subscribers must not hold replicas")
 	}
 }
@@ -63,22 +70,22 @@ func TestAllocPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g := 0; g < 2; g++ {
-		pte := m.PageTable(g).Lookup(0)
-		if pte == nil || pte.GPS || pte.Owner != 1 {
-			t.Fatalf("GPU %d pinned PTE = %+v", g, pte)
-		}
+		wantMapping(t, m, g, 0, 1, false)
 	}
-	if m.IsGPSPage(0, 0) {
+	if got := m.Subscribers(0); got != memsys.SetOf(1) {
+		t.Fatalf("pinned page subscribers = %v, want its owner", got)
+	}
+	if _, ok := m.gpsSubscribers(0); ok {
 		t.Fatal("pinned page must not be GPS")
 	}
 }
 
 func TestDoubleAllocFails(t *testing.T) {
 	m := newTestManager(t, 2)
-	if err := m.AllocGPS(0, page, memsys.AllGPUs(2)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.AllGPUs(2), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AllocGPS(0, page, memsys.AllGPUs(2)); err == nil {
+	if err := m.AllocGPS(0, page, memsys.AllGPUs(2), false); err == nil {
 		t.Fatal("double alloc accepted")
 	}
 	if err := m.AllocPinned(0, page, 0); err == nil {
@@ -88,7 +95,7 @@ func TestDoubleAllocFails(t *testing.T) {
 
 func TestUnsubscribeFreesAndRemapsRemote(t *testing.T) {
 	m := newTestManager(t, 4)
-	if err := m.AllocGPS(0, page, memsys.AllGPUs(4)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.AllGPUs(4), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Unsubscribe(3, 0, page); err != nil {
@@ -97,21 +104,19 @@ func TestUnsubscribeFreesAndRemapsRemote(t *testing.T) {
 	if got := m.Subscribers(0); got != memsys.SetOf(0, 1, 2) {
 		t.Fatalf("subscribers = %v", got)
 	}
-	if m.PhysMem(3).UsedBytes() != 0 {
+	if m.used[3] != 0 {
 		t.Fatal("unsubscribed replica not freed")
 	}
-	pte := m.PageTable(3).Lookup(0)
-	if pte == nil || !pte.GPS || pte.Owner != 0 {
-		t.Fatalf("leaver PTE = %+v, want remote with GPS bit", pte)
-	}
-	if m.Stats().Unsubscribes != 1 {
-		t.Fatalf("unsubscribes = %d", m.Stats().Unsubscribes)
+	// The leaver maps the first subscriber, GPS bit kept.
+	wantMapping(t, m, 3, 0, 0, true)
+	if err := m.Unsubscribe(3, 0, page); err == nil {
+		t.Fatal("unsubscribing a non-subscriber accepted")
 	}
 }
 
 func TestUnsubscribeLastFails(t *testing.T) {
 	m := newTestManager(t, 2)
-	if err := m.AllocGPS(0, page, memsys.SetOf(0, 1)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.SetOf(0, 1), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Unsubscribe(0, 0, page); err != nil {
@@ -121,74 +126,84 @@ func TestUnsubscribeLastFails(t *testing.T) {
 	if err := m.Unsubscribe(1, 0, page); err == nil {
 		t.Fatal("unsubscribing the last copy should fail")
 	}
+	// A GPS page allocated with one subscriber refuses to lose it.
+	if err := m.AllocGPS(page, page, memsys.SetOf(1), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Unsubscribe(1, page, page); !errors.Is(err, memsys.ErrLastSubscriber) {
+		t.Fatalf("unsubscribing the only subscriber: %v, want ErrLastSubscriber", err)
+	}
 }
 
 func TestDowngradeOnSingleSubscriber(t *testing.T) {
 	m := newTestManager(t, 4)
-	if err := m.AllocGPS(0, page, memsys.SetOf(0, 1)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.SetOf(0, 1), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Unsubscribe(0, 0, page); err != nil {
 		t.Fatal(err)
 	}
 	// One subscriber left: the page must be downgraded to conventional.
-	if m.GPSPageTable().Lookup(0) != nil {
-		t.Fatal("downgraded page still in GPS page table")
+	if _, ok := m.gpsSubscribers(0); ok {
+		t.Fatal("downgraded page still replicated")
 	}
 	for g := 0; g < 4; g++ {
-		pte := m.PageTable(g).Lookup(0)
-		if pte == nil || pte.GPS || pte.Owner != 1 {
-			t.Fatalf("GPU %d PTE after downgrade = %+v", g, pte)
-		}
-	}
-	if m.Stats().Downgrades != 1 {
-		t.Fatalf("downgrades = %d", m.Stats().Downgrades)
+		wantMapping(t, m, g, 0, 1, false)
 	}
 	if got := m.Subscribers(0); got != memsys.SetOf(1) {
 		t.Fatalf("post-downgrade subscribers = %v", got)
 	}
 }
 
-func TestSubscribeRepromotesDowngradedPage(t *testing.T) {
+// TestSubscribeRefusesDowngradedPage: a page downgraded to one copy
+// translates GPS=false on every GPU and stays conventional; subscribing to
+// it fails and changes nothing.
+func TestSubscribeRefusesDowngradedPage(t *testing.T) {
 	m := newTestManager(t, 4)
-	if err := m.AllocGPS(0, page, memsys.SetOf(0, 1)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.SetOf(0, 1), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Unsubscribe(0, 0, page); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Subscribe(2, 0, page); err != nil {
-		t.Fatal(err)
+	if err := m.Subscribe(2, 0, page); err == nil {
+		t.Fatal("subscribing to a downgraded page accepted")
 	}
-	if got := m.Subscribers(0); got != memsys.SetOf(1, 2) {
-		t.Fatalf("subscribers = %v", got)
+	if got := m.Subscribers(0); got != memsys.SetOf(1) {
+		t.Fatalf("subscribers = %v, want {1}", got)
 	}
-	if !m.IsGPSPage(1, 0) || !m.IsGPSPage(2, 0) {
-		t.Fatal("re-promoted page should carry the GPS bit")
+	if m.used[2] != 0 {
+		t.Fatal("refused subscription took a page")
+	}
+	for g := 0; g < 4; g++ {
+		wantMapping(t, m, g, 0, 1, false)
 	}
 }
 
 func TestSubscribeIsIdempotent(t *testing.T) {
 	m := newTestManager(t, 2)
-	if err := m.AllocGPS(0, page, memsys.AllGPUs(2)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.AllGPUs(2), false); err != nil {
 		t.Fatal(err)
 	}
-	before := m.PhysMem(0).UsedBytes()
+	before := m.used[0]
 	if err := m.Subscribe(0, 0, page); err != nil {
 		t.Fatal(err)
 	}
-	if m.PhysMem(0).UsedBytes() != before {
+	if m.used[0] != before {
 		t.Fatal("re-subscribing allocated a second replica")
 	}
 }
 
 func TestApplyProfileUnsubscribesUntouched(t *testing.T) {
 	m := newTestManager(t, 4)
-	geom := m.Geometry()
-	if err := m.AllocGPS(0, 3*page, memsys.AllGPUs(4)); err != nil {
+	if err := m.AllocGPS(0, 3*page, memsys.AllGPUs(4), false); err != nil {
 		t.Fatal(err)
 	}
-	tr := NewAccessTracker(geom, 0, 3*page, 4)
+	// Page 3 has manual subscriptions: profiling never prunes it.
+	if err := m.AllocGPS(3*page, page, memsys.SetOf(1, 2), true); err != nil {
+		t.Fatal(err)
+	}
+	tr := NewAccessTracker(testGeom(), 0, 4*page, 4)
 	tr.Start()
 	// Page 0: touched by 0,1. Page 1: touched by all. Page 2: untouched.
 	tr.RecordTLBMiss(0, 0)
@@ -198,9 +213,8 @@ func TestApplyProfileUnsubscribesUntouched(t *testing.T) {
 	}
 	tr.Stop()
 
-	cuts := m.ApplyProfile(tr, nil)
-	if cuts == 0 {
-		t.Fatal("no unsubscriptions performed")
+	if cuts := m.ApplyProfile(tr); cuts != 5 {
+		t.Fatalf("ApplyProfile made %d cuts, want 5", cuts)
 	}
 	if got := m.Subscribers(0); got != memsys.SetOf(0, 1) {
 		t.Fatalf("page 0 subscribers = %v, want {0,1}", got)
@@ -212,97 +226,74 @@ func TestApplyProfileUnsubscribesUntouched(t *testing.T) {
 	if got := m.Subscribers(2); got.Count() != 1 {
 		t.Fatalf("page 2 subscribers = %v, want one", got)
 	}
+	if got := m.Subscribers(3); got != memsys.SetOf(1, 2) || !m.Manual(3) {
+		t.Fatalf("manual page 3 subscribers = %v (manual %v), want {1,2}", got, m.Manual(3))
+	}
 }
 
 func TestCollapseSysScoped(t *testing.T) {
 	m := newTestManager(t, 4)
-	if err := m.AllocGPS(0, page, memsys.AllGPUs(4)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.AllGPUs(4), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.CollapseSysScoped(2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if m.GPSPageTable().Lookup(0) != nil {
+	if _, ok := m.gpsSubscribers(0); ok {
 		t.Fatal("collapsed page still replicated")
 	}
 	for g := 0; g < 4; g++ {
-		pte := m.PageTable(g).Lookup(0)
-		if pte == nil || pte.GPS || pte.Owner != 2 {
-			t.Fatalf("GPU %d PTE after collapse = %+v, want conventional on 2", g, pte)
-		}
+		wantMapping(t, m, g, 0, 2, false)
 	}
-	// Only the writer's frame remains.
+	// Only the writer's replica remains.
 	for g := 0; g < 4; g++ {
 		want := uint64(0)
 		if g == 2 {
-			want = page
+			want = 1
 		}
-		if m.PhysMem(g).UsedBytes() != want {
-			t.Fatalf("GPU %d used = %d, want %d", g, m.PhysMem(g).UsedBytes(), want)
+		if m.used[g] != want {
+			t.Fatalf("GPU %d holds %d pages, want %d", g, m.used[g], want)
 		}
-	}
-	if m.Stats().Collapses != 1 {
-		t.Fatal("collapse not counted")
 	}
 	// Idempotent on an already-collapsed page.
 	if err := m.CollapseSysScoped(1, 0); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFreeReleasesEverything(t *testing.T) {
-	m := newTestManager(t, 2)
-	if err := m.AllocGPS(0, 2*page, memsys.AllGPUs(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AllocPinned(1<<30, page, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Free(0, 2*page); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Free(1<<30, page); err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 2; g++ {
-		if m.PhysMem(g).UsedBytes() != 0 {
-			t.Fatalf("GPU %d leaked memory", g)
-		}
-		if m.PageTable(g).Entries() != 0 {
-			t.Fatalf("GPU %d page table not empty", g)
-		}
-	}
-	if err := m.Free(0, page); err == nil {
-		t.Fatal("double free accepted")
-	}
-	if m.Stats().ReplicaFrames != 0 {
-		t.Fatalf("replica frames = %d after free", m.Stats().ReplicaFrames)
-	}
+	wantMapping(t, m, 1, 0, 2, false)
 }
 
 func TestSubscriberHistogram(t *testing.T) {
 	m := newTestManager(t, 4)
-	if err := m.AllocGPS(0, page, memsys.AllGPUs(4)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.AllGPUs(4), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AllocGPS(page, page, memsys.SetOf(0, 1)); err != nil {
+	if err := m.AllocGPS(page, page, memsys.SetOf(0, 1), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AllocGPS(2*page, page, memsys.SetOf(0, 1, 2)); err != nil {
+	if err := m.AllocGPS(2*page, page, memsys.SetOf(0, 1, 2), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AllocGPS(3*page, page, memsys.SetOf(0, 1, 2), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CollapseSysScoped(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AllocPinned(4*page, page, 0); err != nil {
 		t.Fatal(err)
 	}
 	h := m.SubscriberHistogram()
-	if h[4] != 1 || h[2] != 1 || h[3] != 1 {
-		t.Fatalf("histogram = %v", h)
+	if len(h) != 4 || h[4] != 1 || h[2] != 1 || h[3] != 1 || h[1] != 1 {
+		t.Fatalf("histogram = %v, want one page each with 4, 3, 2 and 1 subscribers", h)
 	}
 }
 
 func TestManagerErrors(t *testing.T) {
 	m := newTestManager(t, 2)
-	if err := m.AllocGPS(0, page, 0); err == nil {
+	if err := m.AllocGPS(0, page, 0, false); err == nil {
 		t.Error("empty subscriber set accepted")
 	}
-	if err := m.AllocGPS(0, page, memsys.SetOf(5)); err == nil {
+	if err := m.AllocGPS(0, page, memsys.SetOf(5), false); err == nil {
 		t.Error("out-of-range subscriber accepted")
 	}
 	if err := m.AllocPinned(0, page, 9); err == nil {
@@ -317,23 +308,73 @@ func TestManagerErrors(t *testing.T) {
 	if err := m.CollapseSysScoped(0, 1<<30); err == nil {
 		t.Error("collapsing unallocated page accepted")
 	}
+	if err := m.AllocPinned(0, page, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Subscribe(1, 0, page); err == nil {
+		t.Error("subscribing to a pinned page accepted")
+	}
+	if err := m.CollapseSysScoped(0, 0); err == nil {
+		t.Error("collapsing a pinned page accepted")
+	}
 	if _, err := NewManager(testGeom(), 0, 1<<30); err == nil {
 		t.Error("zero GPUs accepted")
 	}
+	if _, err := NewManager(testGeom(), 2, page-1); err == nil {
+		t.Error("capacity below one page accepted")
+	}
 }
 
+// TestAllocGPSOutOfMemory holds ErrOutOfMemory exact: a GPU holds exactly
+// its capacity in pages, and an unsubscription, a collapse and a profile
+// cut each give pages back, so a subscription refused for lack of room
+// succeeds after.
 func TestAllocGPSOutOfMemory(t *testing.T) {
-	geom := testGeom()
-	m, err := NewManager(geom, 2, 2*page)
+	m, err := NewManager(testGeom(), 3, 3*page+page/2) // three pages per GPU
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AllocGPS(0, 2*page, memsys.AllGPUs(2)); err != nil {
-		t.Fatal(err)
+	step := func(what string, err error, wantOOM bool) {
+		t.Helper()
+		if wantOOM && !errors.Is(err, memsys.ErrOutOfMemory) || !wantOOM && err != nil {
+			t.Fatalf("%s: %v, want out of memory %v", what, err, wantOOM)
+		}
 	}
-	err = m.AllocGPS(1<<30, page, memsys.AllGPUs(2))
-	if !errors.Is(err, memsys.ErrOutOfMemory) {
-		t.Fatalf("expected ErrOutOfMemory, got %v", err)
+	// Pages A=0 on all GPUs, B=1 and D=2 on GPUs 1 and 2, C=3 and E=4
+	// pinned on GPU 0: every GPU holds exactly three pages.
+	step("alloc A", m.AllocGPS(0, page, memsys.AllGPUs(3), false), false)
+	step("alloc B, D", m.AllocGPS(page, 2*page, memsys.SetOf(1, 2), false), false)
+	step("alloc C, E", m.AllocPinned(3*page, 2*page, 0), false)
+	step("GPS page at capacity+1", m.AllocGPS(5*page, page, memsys.SetOf(2), false), true)
+	step("pinned page at capacity+1", m.AllocPinned(5*page, page, 0), true)
+	step("subscribe GPU 0 to B", m.Subscribe(0, page, page), true)
+	if _, ok := m.Translate(0, 5); ok {
+		t.Fatal("a failed allocation left its page allocated")
+	}
+
+	// An unsubscription returns its page.
+	step("unsubscribe GPU 0 from A", m.Unsubscribe(0, 0, page), false)
+	step("subscribe GPU 0 to B after", m.Subscribe(0, page, page), false)
+	step("subscribe GPU 0 to D", m.Subscribe(0, 2*page, page), true)
+
+	// A collapse returns every other replica's page.
+	step("collapse B to GPU 1", m.CollapseSysScoped(1, 1), false)
+	step("subscribe GPU 0 to D after", m.Subscribe(0, 2*page, page), false)
+	step("subscribe GPU 0 to A", m.Subscribe(0, 0, page), true)
+
+	// A profile cut returns its page: only GPU 1 touched D.
+	tr := NewAccessTracker(testGeom(), 0, 5*page, 3)
+	tr.Start()
+	tr.RecordTLBMiss(1, 0)
+	tr.RecordTLBMiss(2, 0)
+	tr.RecordTLBMiss(1, 2)
+	tr.Stop()
+	if cuts := m.ApplyProfile(tr); cuts != 2 {
+		t.Fatalf("profile cuts = %d, want 2 (GPUs 0 and 2 from D)", cuts)
+	}
+	step("subscribe GPU 0 to A after", m.Subscribe(0, 0, page), false)
+	if want := []uint64{3, 3, 1}; m.used[0] != want[0] || m.used[1] != want[1] || m.used[2] != want[2] {
+		t.Fatalf("used = %v, want %v", m.used, want)
 	}
 }
 
@@ -341,7 +382,7 @@ func TestRemapHookFires(t *testing.T) {
 	m := newTestManager(t, 2)
 	var remaps []memsys.VPN
 	m.SetRemapHook(func(vpn memsys.VPN) { remaps = append(remaps, vpn) })
-	if err := m.AllocGPS(0, page, memsys.AllGPUs(2)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.AllGPUs(2), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Unsubscribe(0, 0, page); err != nil {
@@ -355,34 +396,31 @@ func TestRemapHookFires(t *testing.T) {
 func TestEvictSubscriberOnOversubscription(t *testing.T) {
 	// Section 5.3: "If the GPU driver swaps out a page from a subscriber due
 	// to oversubscription, that GPU will be unsubscribed and will access
-	// that page remotely."
+	// that page remotely." The driver's eviction is an unsubscription.
 	m := newTestManager(t, 4)
-	if err := m.AllocGPS(0, page, memsys.AllGPUs(4)); err != nil {
+	if err := m.AllocGPS(0, page, memsys.AllGPUs(4), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EvictSubscriber(2, 0); err != nil {
+	if err := m.Unsubscribe(2, 0, page); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Subscribers(0); got != memsys.SetOf(0, 1, 3) {
 		t.Fatalf("subscribers after eviction = %v", got)
 	}
-	if m.PhysMem(2).UsedBytes() != 0 {
+	if m.used[2] != 0 {
 		t.Fatal("evicted replica not freed")
 	}
 	// The evicted GPU now maps the page remotely with the GPS bit intact.
-	pte := m.PageTable(2).Lookup(0)
-	if pte == nil || !pte.GPS || pte.Owner == 2 {
-		t.Fatalf("evicted PTE = %+v", pte)
-	}
+	wantMapping(t, m, 2, 0, 0, true)
 	// Evicting down to the last copy is refused.
-	if err := m.EvictSubscriber(0, 0); err != nil {
+	if err := m.Unsubscribe(0, 0, page); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EvictSubscriber(1, 0); err != nil {
+	if err := m.Unsubscribe(1, 0, page); err != nil {
 		t.Fatal(err)
 	}
 	// One subscriber remains (page downgraded); eviction must refuse.
-	if err := m.EvictSubscriber(3, 0); err == nil {
+	if err := m.Unsubscribe(3, 0, page); err == nil {
 		t.Fatal("evicted the final copy")
 	}
 }

@@ -8,18 +8,17 @@ import (
 	"gps/internal/memsys"
 )
 
-func newTransUnit(gpu int, table *memsys.GPSPageTable) *TranslationUnit {
-	return NewTranslationUnit(gpu, 32, 8, table)
+func newTransUnit(gpu int, m *Manager) *TranslationUnit {
+	return NewTranslationUnit(gpu, 32, 8, m)
 }
 
 func TestTranslationFansOutToRemoteSubscribersOnly(t *testing.T) {
 	geom := testGeom()
-	table := memsys.NewGPSPageTable(geom, 4)
-	table.Subscribe(0, 0, 10)
-	table.Subscribe(0, 1, 11)
-	table.Subscribe(0, 3, 13)
-
-	u := newTransUnit(0, table)
+	m := newTestManager(t, 4)
+	if err := m.AllocGPS(0, page, memsys.SetOf(0, 1, 3), false); err != nil {
+		t.Fatal(err)
+	}
+	u := newTransUnit(0, m)
 	if got, want := u.Process(geom.VPNOf(128), 1), memsys.SetOf(1, 3); got != want {
 		t.Fatalf("destinations = %v, want %v", got, want)
 	}
@@ -30,11 +29,11 @@ func TestTranslationFansOutToRemoteSubscribersOnly(t *testing.T) {
 
 func TestTranslationTLBCaching(t *testing.T) {
 	geom := testGeom()
-	table := memsys.NewGPSPageTable(geom, 2)
-	table.Subscribe(0, 0, 1)
-	table.Subscribe(0, 1, 2)
-
-	u := newTransUnit(0, table)
+	m := newTestManager(t, 2)
+	if err := m.AllocGPS(0, page, memsys.AllGPUs(2), false); err != nil {
+		t.Fatal(err)
+	}
+	u := newTransUnit(0, m)
 	for _, line := range []memsys.VAddr{0, 128, 256} { // one page
 		u.Process(geom.VPNOf(line), 1)
 	}
@@ -43,36 +42,41 @@ func TestTranslationTLBCaching(t *testing.T) {
 	if s.TLBMisses != 1 || s.TLBHits != 2 {
 		t.Fatalf("hits/misses = %d/%d, want 2/1", s.TLBHits, s.TLBMisses)
 	}
-	if s.WalkVisits == 0 {
-		t.Fatal("miss should charge walk visits")
-	}
 	if got := s.HitRate(); got < 0.66 || got > 0.67 {
 		t.Fatalf("HitRate = %v", got)
 	}
 }
 
 func TestTranslationUnmappedPageDropsBlock(t *testing.T) {
-	table := memsys.NewGPSPageTable(testGeom(), 2)
-	u := newTransUnit(0, table)
-	if got := u.Process(0, 1); !got.Empty() {
-		t.Fatalf("unmapped page replicated to %v", got)
+	m := newTestManager(t, 2)
+	if err := m.AllocPinned(page, page, 1); err != nil {
+		t.Fatal(err)
 	}
-	if u.Stats().Unmapped != 1 {
-		t.Fatalf("Unmapped = %d, want 1", u.Stats().Unmapped)
+	u := newTransUnit(0, m)
+	for vpn := memsys.VPN(0); vpn < 2; vpn++ { // unallocated, then pinned
+		if got := u.Process(vpn, 1); !got.Empty() {
+			t.Fatalf("page %d replicated to %v", vpn, got)
+		}
+	}
+	if u.Stats().Unmapped != 2 {
+		t.Fatalf("Unmapped = %d, want 2", u.Stats().Unmapped)
 	}
 }
 
 func TestTranslationInvalidate(t *testing.T) {
-	geom := testGeom()
-	table := memsys.NewGPSPageTable(geom, 2)
-	table.Subscribe(0, 0, 1)
-	table.Subscribe(0, 1, 2)
-	u := newTransUnit(0, table)
+	m := newTestManager(t, 2)
+	if err := m.AllocGPS(0, page, memsys.AllGPUs(2), false); err != nil {
+		t.Fatal(err)
+	}
+	u := newTransUnit(0, m)
+	m.SetRemapHook(u.InvalidateTLB)
 	u.Process(0, 1)
 
-	// Rewrite the table: GPU1 unsubscribes, page collapses away.
-	table.Drop(0)
-	u.InvalidateTLB(0)
+	// GPU1 unsubscribes: the page downgrades to a single copy, and the
+	// remap hook drops the cached subscriber set.
+	if err := m.Unsubscribe(1, 0, page); err != nil {
+		t.Fatal(err)
+	}
 	if got := u.Process(0, 1); !got.Empty() || u.Stats().Unmapped != 1 {
 		t.Fatal("stale TLB served after invalidate")
 	}
@@ -82,13 +86,11 @@ func TestTranslationGPSTLBSmallButSufficient(t *testing.T) {
 	// Section 7.4: the GPS-TLB hit rate approaches 100% at just 32 entries
 	// because it only services GPS-heap stores. Emulate a working set of 16
 	// hot pages revisited in streaming order.
-	geom := testGeom()
-	table := memsys.NewGPSPageTable(geom, 2)
-	for vpn := memsys.VPN(0); vpn < 16; vpn++ {
-		table.Subscribe(vpn, 0, memsys.PPN(vpn))
-		table.Subscribe(vpn, 1, memsys.PPN(vpn+100))
+	m := newTestManager(t, 2)
+	if err := m.AllocGPS(0, 16*page, memsys.AllGPUs(2), false); err != nil {
+		t.Fatal(err)
 	}
-	u := newTransUnit(0, table)
+	u := newTransUnit(0, m)
 	for rep := 0; rep < 100; rep++ {
 		for vpn := memsys.VPN(0); vpn < 16; vpn++ {
 			u.Process(vpn, 1)
@@ -101,30 +103,38 @@ func TestTranslationGPSTLBSmallButSufficient(t *testing.T) {
 
 // TestTranslationRunEquivalence holds one Process call per run of
 // same-page drained lines to one call per line. Random drain sequences over
-// a few pages, some never mapped, interleave with GPS-TLB invalidations and
-// with subscribe, unsubscribe and drop rewrites of the GPS page table (each
-// followed by the shootdown the manager's remap hook performs). The run
-// path settles its pending run before every such change, as the GPS model
-// does. Both units must end with equal stats, equal bytes per destination
-// and an identical GPS-TLB.
+// a few pages, one never allocated and one pinned, interleave with GPS-TLB
+// invalidations and with subscribe, unsubscribe and collapse calls on the
+// manager, whose remap hook shoots both units down. The run path settles
+// its pending run before every such call, as the GPS model does. Both
+// units must end with equal stats, equal bytes per destination and an
+// identical GPS-TLB.
 func TestTranslationRunEquivalence(t *testing.T) {
 	const gpus, pages = 4, 6
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		geom := testGeom()
-		table := memsys.NewGPSPageTable(geom, gpus)
-		// Reserve keeps the entries the GPS-TLBs cache in place; the last
-		// page starts unmapped.
-		table.Reserve(0, pages*geom.PageBytes)
-		for vpn := memsys.VPN(0); vpn < pages-1; vpn++ {
-			for g := 0; g < gpus; g++ {
-				if g == 0 || rng.Intn(2) == 0 {
-					table.Subscribe(vpn, g, memsys.PPN(int(vpn)*gpus+g))
+		m := newTestManager(t, gpus)
+		// The last page is never allocated and the one before it is pinned.
+		for vpn := memsys.VPN(0); vpn < pages-2; vpn++ {
+			subs := memsys.SetOf(0)
+			for g := 1; g < gpus; g++ {
+				if rng.Intn(4) != 0 {
+					subs = subs.Add(g)
 				}
 			}
+			if err := m.AllocGPS(memsys.VAddr(vpn)*page, page, subs, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.AllocPinned((pages-2)*page, page, 0); err != nil {
+			t.Fatal(err)
 		}
 		// A 2-way, 4-entry GPS-TLB over 6 pages also exercises evictions.
-		runU, lineU := NewTranslationUnit(1, 4, 2, table), NewTranslationUnit(1, 4, 2, table)
+		runU, lineU := NewTranslationUnit(1, 4, 2, m), NewTranslationUnit(1, 4, 2, m)
+		m.SetRemapHook(func(vpn memsys.VPN) {
+			runU.InvalidateTLB(vpn)
+			lineU.InvalidateTLB(vpn)
+		})
 		runBytes, lineBytes := make([]uint64, gpus), make([]uint64, gpus)
 		charge := func(bytes []uint64, set memsys.SubscriberSet, n uint64) {
 			set.ForEach(func(dst int) { bytes[dst] += n * 128 })
@@ -157,18 +167,18 @@ func TestTranslationRunEquivalence(t *testing.T) {
 				runU.InvalidateTLB(vpn)
 				lineU.InvalidateTLB(vpn)
 			default:
+				// Refused calls (a collapsed page, the last subscriber)
+				// are fine: they change nothing.
 				settle()
-				g := rng.Intn(gpus)
+				g, va := rng.Intn(gpus), memsys.VAddr(vpn)*page
 				switch {
 				case op == 17:
-					table.Subscribe(vpn, g, memsys.PPN(100+int(vpn)*gpus+g))
+					m.Subscribe(g, va, page)
 				case op == 18:
-					table.Unsubscribe(vpn, g) // refusing the last subscriber is fine
-				default:
-					table.Drop(vpn)
+					m.Unsubscribe(g, va, page)
+				case rng.Intn(8) == 0:
+					m.CollapseSysScoped(g, vpn)
 				}
-				runU.InvalidateTLB(vpn)
-				lineU.InvalidateTLB(vpn)
 			}
 		}
 		settle()

@@ -1,9 +1,9 @@
 // Package core implements the GPS hardware proposal of Sections 3 and 5 of
 // the paper: the remote write queue that coalesces weak stores at cache-block
-// granularity, the GPS address translation unit with its small GPS-TLB
-// backed by the wide GPS page table, the access tracking unit that profiles
-// page touches via last-level TLB misses, and the subscription manager that
-// ties them to the conventional and GPS page tables.
+// granularity, the GPS address translation unit with its small GPS-TLB of
+// subscriber sets, the access tracking unit that profiles page touches via
+// last-level TLB misses, and the subscription manager whose one page-state
+// table every translation reads.
 package core
 
 import (

@@ -1,8 +1,8 @@
 // Package memsys implements the GPU virtual-memory substrate GPS builds on:
-// address geometry, per-GPU physical memory allocators, the conventional
-// hierarchical page table extended with the GPS bit, the secondary GPS page
-// table with wide leaf PTEs (one physical page number per subscriber), and
-// set-associative TLBs.
+// address geometry (with the paper's PTE sizing arithmetic), dense per-page
+// storage (PageMap), subscriber sets, and set-associative TLBs. The page
+// state itself (who maps what, the GPS bit, the subscribers) is one PageMap
+// of entries kept by core.Manager.
 package memsys
 
 import (
@@ -13,19 +13,8 @@ import (
 // VAddr is a virtual address in the shared multi-GPU address space.
 type VAddr uint64
 
-// PAddr is a physical address within one GPU's memory.
-type PAddr uint64
-
 // VPN is a virtual page number.
 type VPN uint64
-
-// PPN is a physical page number within one GPU's memory.
-type PPN uint64
-
-// NoPPN marks an absent physical mapping (e.g. a non-subscriber's slot in a
-// GPS-PTE, or the dummy physical address used when a writer holds no local
-// replica).
-const NoPPN PPN = ^PPN(0)
 
 // Geometry fixes the translation granularities of the simulated machine.
 type Geometry struct {

@@ -21,8 +21,8 @@ const RegionSlotShift = 33
 //
 // The zero value of T must mean "absent": ForEach visits every backed entry,
 // including ones only ever read through At, and callers distinguish real
-// entries by their own presence encoding (a Valid bit, a non-zero owner+1,
-// a non-nil inner slice).
+// entries by their own presence encoding (a non-zero kind, a non-zero
+// owner+1).
 //
 // Pointers returned by At and Peek stay valid until a later At touches a
 // higher page of the same slot and grows the slab. Callers that cache

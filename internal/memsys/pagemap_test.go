@@ -104,63 +104,3 @@ func TestPageMapRejectsBadPageSize(t *testing.T) {
 		}()
 	}
 }
-
-// TestPageTableWalkDepthMatchesRadixReference checks that the slab-backed
-// PageTable still charges the exact node-visit counts of the map-backed
-// radix implementation it replaced: a hit costs the full depth; a miss stops
-// at the first radix node no Map call ever created.
-func TestPageTableWalkDepthMatchesRadixReference(t *testing.T) {
-	geom := MustGeometry(64<<10, 128, 49, 47)
-	pt := NewPageTable(geom)
-
-	// Reference radix: nodes keyed by per-level prefix, as the old
-	// implementation built them (and like it, never pruned).
-	levels := pt.Levels()
-	refNodes := make([]map[uint64]bool, levels-1)
-	for i := range refNodes {
-		refNodes[i] = map[uint64]bool{}
-	}
-	refLeaf := map[VPN]PTE{}
-	refMap := func(vpn VPN, pte PTE) {
-		for l := 0; l < levels-1; l++ {
-			refNodes[l][uint64(vpn)>>(radixBits*(levels-1-l))] = true
-		}
-		refLeaf[vpn] = pte
-	}
-	refWalk := func(vpn VPN) (bool, int) {
-		if _, ok := refLeaf[vpn]; ok {
-			return true, levels
-		}
-		for l := 0; l < levels-1; l++ {
-			if !refNodes[l][uint64(vpn)>>(radixBits*(levels-1-l))] {
-				return false, l + 1
-			}
-		}
-		return false, levels
-	}
-
-	rng := rand.New(rand.NewSource(7))
-	randVPN := func() VPN {
-		// Mix near and far pages so walks miss at every possible depth.
-		return VPN(uint64(1+rng.Intn(3))<<17 + uint64(rng.Intn(1<<uint(rng.Intn(18)))))
-	}
-	for op := 0; op < 100000; op++ {
-		vpn := randVPN()
-		switch rng.Intn(3) {
-		case 0:
-			pte := PTE{Valid: true, PPN: PPN(rng.Uint32()), Owner: rng.Intn(4)}
-			pt.Map(vpn, pte)
-			refMap(vpn, pte)
-		case 1:
-			got, gotVisits := pt.Walk(vpn)
-			wantHit, wantVisits := refWalk(vpn)
-			if (got != nil) != wantHit || gotVisits != wantVisits {
-				t.Fatalf("Walk(%#x) = (%v, %d), want (hit=%v, %d)",
-					uint64(vpn), got, gotVisits, wantHit, wantVisits)
-			}
-		case 2:
-			pt.Unmap(vpn)
-			delete(refLeaf, vpn) // old Unmap deleted the leaf only
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -12,6 +13,14 @@ type SubscriberSet uint64
 
 // MaxGPUs is the largest GPU ID representable in a SubscriberSet.
 const MaxGPUs = 64
+
+// ErrLastSubscriber is returned when unsubscribing would leave a GPS page
+// with no physical copy; the paper requires at least one subscriber remain.
+var ErrLastSubscriber = errors.New("memsys: cannot unsubscribe the last subscriber")
+
+// ErrOutOfMemory is returned when a GPU's memory has no room for another
+// page.
+var ErrOutOfMemory = errors.New("memsys: out of physical memory")
 
 // SetOf builds a set from explicit GPU IDs.
 func SetOf(gpus ...int) SubscriberSet {

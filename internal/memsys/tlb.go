@@ -4,8 +4,9 @@ import "fmt"
 
 // TLB is a set-associative translation lookaside buffer with true-LRU
 // replacement within each set. The payload type is generic so the same
-// structure backs both the conventional last-level TLB (payload PTE) and the
-// GPS-TLB (payload *GPSPTE, the wide entry with all subscribers' frames).
+// structure backs both the conventional last-level TLB (payload: the GPU a
+// page's accesses go to and the GPS bit) and the GPS-TLB (payload: the
+// page's subscriber set).
 type TLB[T any] struct {
 	sets    [][]tlbEntry[T]
 	setMask uint64 // len(sets)-1 when a power of two (the common case)
@@ -17,10 +18,10 @@ type TLB[T any] struct {
 }
 
 type tlbEntry[T any] struct {
-	valid   bool
 	vpn     VPN
-	payload T
 	lastUse uint64
+	payload T
+	valid   bool
 }
 
 // NewTLB builds a TLB with the given total entry count and associativity.
@@ -95,7 +96,7 @@ func (t *TLB[T]) Fill(vpn VPN, payload T) {
 			victim = i
 		}
 	}
-	set[victim] = tlbEntry[T]{valid: true, vpn: vpn, payload: payload, lastUse: t.clock}
+	set[victim] = tlbEntry[T]{vpn: vpn, lastUse: t.clock, payload: payload, valid: true}
 }
 
 // Invalidate removes the translation for vpn (a single-page shootdown); it
@@ -111,21 +112,6 @@ func (t *TLB[T]) Invalidate(vpn VPN) bool {
 	return false
 }
 
-// Flush invalidates every entry (a full shootdown).
-func (t *TLB[T]) Flush() {
-	for _, set := range t.sets {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
-}
-
-// Hits returns the number of lookups that hit.
-func (t *TLB[T]) Hits() uint64 { return t.hits }
-
-// Misses returns the number of lookups that missed.
-func (t *TLB[T]) Misses() uint64 { return t.misses }
-
 // HitRate returns hits / lookups, or 0 if no lookups occurred.
 func (t *TLB[T]) HitRate() float64 {
 	total := t.hits + t.misses
@@ -134,6 +120,3 @@ func (t *TLB[T]) HitRate() float64 {
 	}
 	return float64(t.hits) / float64(total)
 }
-
-// ResetStats clears the hit/miss counters without touching the contents.
-func (t *TLB[T]) ResetStats() { t.hits, t.misses = 0, 0 }

@@ -36,7 +36,7 @@ const (
 type gpsModel struct {
 	base
 	mgr     *core.Manager
-	convTLB []*memsys.TLB[memsys.PTE]
+	convTLB []*memsys.TLB[core.Mapping]
 	wq      []*core.WriteQueue
 	xu      []*core.TranslationUnit
 	runs    []drainRun // per GPU: drained lines awaiting translation
@@ -45,7 +45,6 @@ type gpsModel struct {
 	mode      gpsMode
 	profiling bool
 	subHist   map[int]int
-	flags     *memsys.PageMap[gpsPageFlags]
 	forwarded uint64 // loads served from the write queue
 }
 
@@ -54,13 +53,6 @@ type gpsModel struct {
 type drainRun struct {
 	vpn memsys.VPN
 	n   uint64
-}
-
-// gpsPageFlags is the model's slab-packed per-page bookkeeping outside the
-// page tables proper.
-type gpsPageFlags struct {
-	manual     bool // pinned manual subscriptions: profiling never prunes it
-	collapsing bool // sys-scope collapse already performed
 }
 
 func newGPS(meta trace.Meta, cfg Config, mode gpsMode) (*gpsModel, error) {
@@ -75,7 +67,6 @@ func newGPS(meta trace.Meta, cfg Config, mode gpsMode) (*gpsModel, error) {
 		base: newBase(name, meta, cfg),
 		mode: mode,
 	}
-	m.flags = memsys.NewPageMap[gpsPageFlags](m.pageBytes)
 	mgr, err := core.NewManager(m.geom, m.n, cfg.Machine.GPU.GlobalMemory)
 	if err != nil {
 		return nil, err
@@ -94,13 +85,8 @@ func newGPS(meta trace.Meta, cfg Config, mode gpsMode) (*gpsModel, error) {
 			if r.ManualSubscribers != nil {
 				subs = memsys.SetOf(r.ManualSubscribers...)
 			}
-			if err := mgr.AllocGPS(memsys.VAddr(r.Base), r.Size, subs); err != nil {
+			if err := mgr.AllocGPS(memsys.VAddr(r.Base), r.Size, subs, r.ManualSubscribers != nil); err != nil {
 				return nil, fmt.Errorf("paradigm: GPS alloc %q: %w", r.Name, err)
-			}
-			if r.ManualSubscribers != nil {
-				for _, vpn := range m.geom.PagesIn(memsys.VAddr(r.Base), r.Size) {
-					m.flags.At(uint64(vpn)).manual = true
-				}
 			}
 		case trace.RegionPrivate:
 			owner := privateOwner(&r, 0)
@@ -124,8 +110,8 @@ func newGPS(meta trace.Meta, cfg Config, mode gpsMode) (*gpsModel, error) {
 	m.runs = make([]drainRun, m.n)
 	for g := 0; g < m.n; g++ {
 		g := g
-		m.convTLB = append(m.convTLB, memsys.NewTLB[memsys.PTE](gpu.TLBEntries, gpu.TLBWays))
-		m.xu = append(m.xu, core.NewTranslationUnit(g, cfg.GPSTLBEntries, cfg.GPSTLBWays, mgr.GPSPageTable()))
+		m.convTLB = append(m.convTLB, memsys.NewTLB[core.Mapping](gpu.TLBEntries, gpu.TLBWays))
+		m.xu = append(m.xu, core.NewTranslationUnit(g, cfg.GPSTLBEntries, cfg.GPSTLBWays, mgr))
 		m.wq = append(m.wq, core.NewWriteQueue(m.geom, cfg.WriteQueueEntries, cfg.WriteQueueWatermark,
 			func(line memsys.VAddr, n uint64) { m.drained(g, line, n) }))
 	}
@@ -204,33 +190,25 @@ func (m *gpsModel) settleAll() {
 	}
 }
 
-// translate resolves one line of vpn in gpu's conventional TLB, walking the
-// page table on a miss and feeding the access tracking unit for GPS pages
-// while profiling. Access calls it for the first line of each page piece
-// only: the piece's other lines probe the entry it found or filled.
-func (m *gpsModel) translate(gpu int, vpn uint64) memsys.PTE {
+// translate resolves one line of vpn in gpu's conventional TLB, reading
+// the manager's page table on a miss and feeding the access tracking unit
+// for GPS pages while profiling. It returns the GPU the access goes to and
+// the GPS bit. Access calls it for the first line of each page piece only:
+// the piece's other lines probe the entry it found or filled.
+func (m *gpsModel) translate(gpu int, vpn uint64) (owner int, gps bool) {
 	v := memsys.VPN(vpn)
-	if pte, ok := m.convTLB[gpu].Lookup(v); ok {
-		return pte
+	mp, ok := m.convTLB[gpu].Lookup(v)
+	if !ok {
+		if mp, ok = m.mgr.Translate(gpu, v); !ok {
+			// Access outside any allocation: treat as local scratch.
+			return gpu, false
+		}
+		m.convTLB[gpu].Fill(v, mp)
+		if mp.GPS && m.tracker != nil {
+			m.tracker.RecordTLBMiss(gpu, v)
+		}
 	}
-	ptep := m.mgr.PageTable(gpu).Lookup(v)
-	if ptep == nil {
-		// Access outside any allocation: treat as local scratch.
-		return memsys.PTE{Valid: true, Owner: gpu}
-	}
-	pte := *ptep
-	m.convTLB[gpu].Fill(v, pte)
-	if pte.GPS && m.tracker != nil {
-		m.tracker.RecordTLBMiss(gpu, v)
-	}
-	return pte
-}
-
-// isManual reports whether vpn carries pinned manual subscriptions. Peek
-// suffices: manual flags are all set at allocation time.
-func (m *gpsModel) isManual(vpn uint64) bool {
-	p := m.flags.Peek(vpn)
-	return p != nil && p.manual
+	return int(mp.Owner), mp.GPS
 }
 
 // Access takes each span as one page piece (the engine cuts spans at page
@@ -256,39 +234,37 @@ func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 		for line, n := s.Line, s.N; n > 0; {
 			k := n
 			vpn := m.vpn(line)
-			pte := m.translate(gpu, vpn)
+			owner, gps := m.translate(gpu, vpn)
 			bytes := uint64(k) * lineBytes
 			switch {
-			case s.Op == trace.OpLoad && pte.Owner == gpu:
+			case s.Op == trace.OpLoad && owner == gpu:
 				prof.LocalBytes += bytes
-			case s.Op == trace.OpLoad && !pte.GPS:
-				prof.RemoteRead[pte.Owner] += bytes
+			case s.Op == trace.OpLoad && !gps:
+				prof.RemoteRead[owner] += bytes
 				prof.RemoteReadLines += uint64(k)
 			case s.Op == trace.OpLoad:
-				k = m.loadRemoteGPS(gpu, pte, line, k)
-			case !pte.GPS:
+				k = m.loadRemoteGPS(gpu, owner, line, k)
+			case !gps:
 				// Conventional page: local or plain remote store.
-				if pte.Owner == gpu {
+				if owner == gpu {
 					prof.LocalBytes += bytes
 				} else {
-					prof.Push[pte.Owner] += bytes
+					prof.Push[owner] += bytes
 				}
 			case s.Scope == trace.ScopeSys:
 				// Sys-scoped store to a GPS page: collapse to a single copy
-				// (Section 5.3). The attempt ends the piece after its line: a
-				// collapse remaps the page, and a failed one is retried by the
-				// next line.
-				if f := m.flags.At(vpn); !f.collapsing {
-					m.settleAll()
-					if err := m.mgr.CollapseSysScoped(gpu, memsys.VPN(vpn)); err == nil {
-						prof.Shootdowns++
-						f.collapsing = true
-					}
-					k = 1
+				// (Section 5.3). The collapse remaps the page to GPS=false on
+				// every GPU, so it ends the piece after its line and the rest
+				// is translated again as a conventional store.
+				m.settleAll()
+				if err := m.mgr.CollapseSysScoped(gpu, memsys.VPN(vpn)); err != nil {
+					panic(fmt.Sprintf("paradigm: sys-scoped collapse: %v", err))
 				}
-				prof.LocalBytes += uint64(k) * lineBytes
+				prof.Shootdowns++
+				prof.LocalBytes += lineBytes
+				k = 1
 			default:
-				if pte.Owner == gpu {
+				if owner == gpu {
 					// Local replica updated on the store path (W3 in Figure 7).
 					prof.LocalBytes += bytes
 				}
@@ -311,10 +287,10 @@ func (m *gpsModel) Access(gpu int, b *engine.Batch) {
 // loadRemoteGPS serves loads of the first k lines of a piece of a GPS page
 // that gpu does not hold a replica of, and returns how many it served
 // before a subscription ended the piece.
-func (m *gpsModel) loadRemoteGPS(gpu int, pte memsys.PTE, line uint64, k uint32) uint32 {
+func (m *gpsModel) loadRemoteGPS(gpu, owner int, line uint64, k uint32) uint32 {
 	prof := &m.profiles[gpu]
 	wq := m.wq[gpu]
-	subscribing := m.mode == gpsUnsubscribedByDefault && m.profiling && !m.isManual(m.vpn(line))
+	subscribing := m.mode == gpsUnsubscribedByDefault && m.profiling && !m.mgr.Manual(memsys.VPN(m.vpn(line)))
 	for i := uint32(0); i < k; i++ {
 		va := memsys.VAddr(line + uint64(i)*lineBytes)
 		if wq.Contains(va) {
@@ -334,7 +310,7 @@ func (m *gpsModel) loadRemoteGPS(gpu int, pte memsys.PTE, line uint64, k uint32)
 			// rejecting this mode.
 			m.settleAll()
 			if err := m.mgr.Subscribe(gpu, m.geom.PageBase(va), m.geom.PageBytes); err == nil {
-				prof.RemoteRead[pte.Owner] += m.geom.PageBytes
+				prof.RemoteRead[owner] += m.geom.PageBytes
 				prof.Faults++
 				prof.LocalBytes += lineBytes
 				return 1
@@ -342,7 +318,7 @@ func (m *gpsModel) loadRemoteGPS(gpu int, pte memsys.PTE, line uint64, k uint32)
 		}
 		// Not a subscriber: the load issues remotely to one of the
 		// subscribers (Section 3.2) — a penalty, never a fault.
-		prof.RemoteRead[pte.Owner] += lineBytes
+		prof.RemoteRead[owner] += lineBytes
 		prof.RemoteReadLines++
 	}
 	return k
@@ -362,7 +338,7 @@ func (m *gpsModel) EndPhase(index int) {
 			// into the subscription tracking mechanism (Section 3.2): GPUs
 			// that never touched a page are unsubscribed, including the
 			// initial host of unsubscribed-by-default pages.
-			m.mgr.ApplyProfile(m.tracker, func(vpn memsys.VPN) bool { return m.isManual(uint64(vpn)) })
+			m.mgr.ApplyProfile(m.tracker)
 		}
 		m.profiling = false
 	}
