@@ -81,11 +81,14 @@ func runConcurrently(t *testing.T, prog trace.Program, kind paradigm.Kind, n int
 // TestRunFusedMatchesRun proves that one fused replay of every paradigm
 // equals each paradigm's lone Run, and that two fused replays running at
 // once over one shared Program (as two runner workers replaying two groups
-// of a cached trace) do too.
+// of a cached trace) do too. A lone infiniteBW Run takes the count path and
+// the fused replay the span path, so on als, whose gathers and atomic
+// updates are scattered, the two paths must agree on every line count
+// (FuzzSpanSplit covers strided records, which no generator emits).
 func TestRunFusedMatchesRun(t *testing.T) {
 	cfg := workload.Config{NumGPUs: 4, Iterations: 1, Scale: 1, Seed: 1}
 	kinds := paradigm.Kinds()
-	for _, app := range []string{"jacobi", "pagerank"} {
+	for _, app := range []string{"jacobi", "pagerank", "als"} {
 		spec, err := workload.ByName(app)
 		if err != nil {
 			t.Fatal(err)

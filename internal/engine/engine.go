@@ -156,7 +156,8 @@ type Model interface {
 	// order. The batch is shared with the other models of a fused replay
 	// and reused after the call returns: models read it and keep nothing.
 	// Its spans may be cut finer than the model's own pages, so a model
-	// must decide as it would for the same lines one at a time.
+	// must decide as it would for the same lines one at a time. A
+	// LineModel whose LinesOnly is true reads only b.Lines.
 	Access(gpu int, b *Batch)
 	// EndPhase is the global synchronization barrier ending the phase
 	// (implicit sys-scoped release of every grid).
@@ -165,11 +166,26 @@ type Model interface {
 	Finish(res *Result)
 }
 
+// LineModel is a Model that can declare it reads only line totals. When
+// every model of a replay is a LineModel whose LinesOnly is true, the
+// replay takes the count path: it coalesces each chunk to its line count
+// and builds no spans.
+type LineModel interface {
+	Model
+	// LinesOnly reports whether Access reads nothing of a batch but Lines.
+	LinesOnly() bool
+}
+
 // Batch is one chunk of one GPU's instruction stream after coalescing: the
 // ordered page pieces of lines the chunk touches, one zero-line span per
-// fence. The replay loop reuses the slice between chunks.
+// fence, and their line count. When every model of the replay is line-only
+// (see LineModel), the replay takes the count path: Spans is empty and only
+// Lines is set. The replay loop reuses the slice between chunks.
 type Batch struct {
 	Spans []Span
+	// Lines is the number of lines the chunk touches, fences excluded: the
+	// sum of the N of its spans.
+	Lines uint64
 }
 
 // chunk is the number of consecutive warp instructions one GPU executes
@@ -202,7 +218,9 @@ func RunObserved(prog trace.Program, m Model, po PhaseObserver) *Result {
 // models, and the batch goes to each model in turn. Models share nothing
 // but the read-only batch, so results[i] equals Run(prog, models[i]); the
 // trace front end (block decode, coalescing, piece split) is paid once
-// instead of once per model.
+// instead of once per model. When every model reads only line totals (see
+// LineModel), chunks are coalesced to their line counts and no span is
+// built.
 func RunFused(prog trace.Program, models []Model, po PhaseObserver) []*Result {
 	meta := prog.Meta()
 	n := meta.NumGPUs
@@ -210,10 +228,14 @@ func RunFused(prog trace.Program, models []Model, po PhaseObserver) []*Result {
 	// With no model needing pieces, an empty region table and the 8 GB
 	// region slot as the page cut spans only at region slots.
 	pageBytes, regions := uint64(1)<<regionSlotShift, []trace.Region(nil)
+	countOnly := true
 	for i, m := range models {
 		results[i] = &Result{Meta: meta, Paradigm: m.Name()}
 		if p := m.PageBytes(); p != 0 {
 			pageBytes, regions = min(pageBytes, p), meta.Regions
+		}
+		if lm, ok := m.(LineModel); !ok || !lm.LinesOnly() {
+			countOnly = false
 		}
 	}
 	exp := NewExpander(NewRegionTable(regions), pageBytes)
@@ -275,9 +297,11 @@ func RunFused(prog trace.Program, models []Model, po PhaseObserver) []*Result {
 					end = r.n
 					remaining--
 				}
-				batch.Spans = batch.Spans[:0]
+				batch.Spans, batch.Lines = batch.Spans[:0], 0
 				for _, run := range r.window(cursors[ki], end) {
-					batch.Spans = exp.AppendSpans(batch.Spans, run)
+					var lines uint64
+					batch.Spans, lines = exp.coalesce(batch.Spans, run, countOnly)
+					batch.Lines += lines
 				}
 				gpu := ph.Kernels[ki].GPU
 				for _, m := range models {

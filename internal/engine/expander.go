@@ -54,30 +54,52 @@ func NewExpander(regions *RegionTable, pageBytes uint64) *Expander {
 // run whose records tile whole consecutive lines costs O(1) per page piece;
 // other records expand per lane.
 func (e *Expander) AppendSpans(dst []Span, r trace.Run) []Span {
+	dst, _ = e.coalesce(dst, r, false)
+	return dst
+}
+
+// coalesce appends the spans of r's records to dst, as AppendSpans does,
+// and returns dst and the number of lines the records touch, fences
+// excluded: the sum of the N of the spans, counted per record. With
+// countOnly it appends nothing and looks up no region: a contiguous run
+// that tiles costs O(1), and any other record one coalescing.
+func (e *Expander) coalesce(dst []Span, r trace.Run, countOnly bool) ([]Span, uint64) {
 	a := r.A
 	if a.Op == trace.OpFence {
-		for i := uint32(0); i < r.N; i++ {
+		for i := uint32(0); i < r.N && !countOnly; i++ {
 			dst = append(dst, Span{Op: a.Op, Scope: a.Scope})
 		}
-		return dst
+		return dst, 0
 	}
+	var lines uint64
 	if a.Pattern == trace.PatContiguous {
 		// Records with the same in-line offset touch the same number of
 		// lines; when the step is exactly that many lines, the run tiles one
 		// range. The range must not wrap, as no record's range does.
 		first, n := e.contiguous(a)
 		if r.N == 1 || r.AddrStep == uint64(n)*LineBytes && first+uint64(r.N)*r.AddrStep > first {
-			return e.push(dst, a.Op, a.Scope, first, r.N*n)
+			if !countOnly {
+				dst = e.push(dst, a.Op, a.Scope, first, r.N*n)
+			}
+			return dst, uint64(r.N * n)
 		}
 		for i := uint32(0); i < r.N; i++ {
 			first, n := e.contiguous(r.At(i))
-			dst = e.push(dst, a.Op, a.Scope, first, n)
+			if !countOnly {
+				dst = e.push(dst, a.Op, a.Scope, first, n)
+			}
+			lines += uint64(n)
 		}
-		return dst
+		return dst, lines
 	}
 	var shared *trace.Region // the last lane line's shared region, if any
 	for i := uint32(0); i < r.N; i++ {
-		for _, line := range e.laneLines(r.At(i)) {
+		lanes := e.laneLines(r.At(i))
+		lines += uint64(len(lanes))
+		if countOnly {
+			continue
+		}
+		for _, line := range lanes {
 			if shared == nil || line-shared.Base >= shared.Size {
 				shared = e.regions.Shared(line)
 			}
@@ -89,7 +111,7 @@ func (e *Expander) AppendSpans(dst []Span, r trace.Run) []Span {
 			}
 		}
 	}
-	return dst
+	return dst, lines
 }
 
 // contiguous returns the first line and the line count of a contiguous

@@ -266,6 +266,35 @@ func TestExpanderCutsPieces(t *testing.T) {
 	}
 }
 
+// Property: on multi-record runs of every pattern, tiled or not, the line
+// count coalesce returns, with or without building spans, equals the sum
+// of the N of the spans it appends, fences excluded.
+func TestCoalesceCountsLines(t *testing.T) {
+	regions := []trace.Region{{Name: "s", Kind: trace.RegionShared, Base: 1 << 33, Size: 3<<12 + 300}}
+	e := NewExpander(NewRegionTable(regions), 4<<10)
+	f := func(op, pat, threads, n, elem uint8, stride, seed, seedStep uint32, addr uint64, tiled bool) bool {
+		a := trace.Access{
+			Op: trace.Op(op % 4), Pattern: trace.Pattern(pat % 3), Threads: threads%32 + 1,
+			ElemBytes: elem%16 + 1, Stride: stride%8192 + 1, Seed: seed,
+			Addr: 1<<33 - 1<<14 + addr%(1<<16),
+		}
+		r := trace.Run{A: a, N: uint32(n%64 + 1), SeedStep: seedStep, AddrStep: uint64(stride % 4096)}
+		if _, lines := e.contiguous(a); tiled {
+			r.AddrStep = uint64(lines) * LineBytes
+		}
+		spans, got := e.coalesce(nil, r, false)
+		var sum uint64
+		for _, s := range spans {
+			sum += uint64(s.N)
+		}
+		_, count := e.coalesce(nil, r, true)
+		return got == sum && count == sum
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRegionTableLookup(t *testing.T) {
 	regions := []trace.Region{
 		{Name: "a", Base: 1 << 33, Size: 1 << 20},

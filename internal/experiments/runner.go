@@ -425,8 +425,10 @@ func (c Cell) resultKey() resultKey {
 	return resultKey{app: c.App, wcfg: opt.workloadConfig(c.GPUs), kind: c.Kind, pcfg: c.Cfg}
 }
 
-// replayGroups runs the plan's groups on the worker pool, largest first, so
-// the longest fused replays start before the pool fills with short ones.
+// replayGroups runs the plan's groups on the worker pool in descending
+// order of entry count (models per group), ties in plan order. The count
+// is not a cost estimate: a group's replay time also scales with its
+// trace's length and GPU count, so a long group can start late.
 // A group's failure is stored on its entries, not returned: it surfaces on
 // every cell that needs one of them, under that cell's index and
 // description. Group tasks emit no CellEvents and skip the fault hook,

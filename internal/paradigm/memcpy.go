@@ -58,13 +58,13 @@ func newMemcpyAsync(meta trace.Meta, cfg Config) *memcpyModel {
 }
 
 func (m *memcpyModel) Access(gpu int, b *engine.Batch) {
-	prof := &m.profiles[gpu]
+	m.profiles[gpu].LocalBytes += b.Lines * lineBytes // every structure is mirrored locally
+	if m.elideTransfers {
+		return // infinite bandwidth never broadcasts, so it tracks no writes
+	}
 	for _, s := range b.Spans {
-		prof.LocalBytes += uint64(s.N) * lineBytes // every structure is mirrored locally
-		if m.elideTransfers || !s.IsWrite() || !s.Shared {
-			// Infinite bandwidth never broadcasts, so it tracks no writes;
-			// only shared data is broadcast.
-			continue
+		if !s.IsWrite() || !s.Shared {
+			continue // only shared data is broadcast
 		}
 		vpn := s.Line >> m.vpnShift
 		p := m.pages.At(vpn)
@@ -108,5 +108,9 @@ func (m *memcpyModel) PageBytes() uint64 {
 	}
 	return m.pageBytes
 }
+
+// LinesOnly is true for infiniteBW, which reads only each batch's line
+// count, so a lone infiniteBW replay builds no spans.
+func (m *memcpyModel) LinesOnly() bool { return m.elideTransfers }
 
 func (m *memcpyModel) Finish(*engine.Result) {}

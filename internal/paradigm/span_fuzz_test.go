@@ -11,15 +11,15 @@ import (
 )
 
 // lineSplitter forwards every batch to its model re-split into one-line
-// spans, each marked shared or not as its piece is: the line-at-a-time
-// replay the span models must reproduce.
+// spans, each marked shared or not as its piece is, with the batch's line
+// count: the line-at-a-time replay the span models must reproduce.
 type lineSplitter struct {
 	engine.Model
 	b engine.Batch
 }
 
 func (s *lineSplitter) Access(gpu int, b *engine.Batch) {
-	s.b.Spans = s.b.Spans[:0]
+	s.b.Spans, s.b.Lines = s.b.Spans[:0], b.Lines
 	for _, sp := range b.Spans {
 		if sp.N == 0 {
 			s.b.Spans = append(s.b.Spans, sp)
@@ -39,10 +39,12 @@ type spanLine struct {
 	line       uint64
 }
 
-// lineRecorder lists the lines of every batch it sees, in order.
+// lineRecorder lists the lines of every batch it sees, in order, and
+// counts the batches whose Lines is not the sum of their spans' N.
 type lineRecorder struct {
-	phase int
-	lines []spanLine
+	phase   int
+	lines   []spanLine
+	badSums int
 }
 
 func (r *lineRecorder) Name() string                         { return "recorder" }
@@ -51,13 +53,18 @@ func (r *lineRecorder) BeginPhase(i int, _ []engine.Profile) { r.phase = i }
 func (r *lineRecorder) EndPhase(int)                         {}
 func (r *lineRecorder) Finish(*engine.Result)                {}
 func (r *lineRecorder) Access(gpu int, b *engine.Batch) {
+	var sum uint64
 	for _, s := range b.Spans {
+		sum += uint64(s.N)
 		if s.N == 0 {
 			r.lines = append(r.lines, spanLine{r.phase, gpu, s.Op, s.Scope, 0})
 		}
 		for i := uint32(0); i < s.N; i++ {
 			r.lines = append(r.lines, spanLine{r.phase, gpu, s.Op, s.Scope, s.Line + uint64(i)*lineBytes})
 		}
+	}
+	if b.Lines != sum {
+		r.badSums++
 	}
 }
 
@@ -177,10 +184,13 @@ func splitProgram(seed int64, gpus int) *trace.Recorded {
 
 // FuzzSpanSplit checks the span replay against the line-at-a-time one on
 // generated traces. The engine's line sequence must equal the reference
-// per-lane expansion of every record, and every paradigm at 4 KB, 64 KB and
-// 2 MB pages must produce the same Result from the engine's batches as from
-// the same batches re-split into one-line spans, both when all page sizes
-// replay in one fused group and when each replays in a group of its own.
+// per-lane expansion of every record, every batch's Lines the sum of its
+// spans' N, and every paradigm at 4 KB, 64 KB and 2 MB pages must produce
+// the same Result from the engine's batches as from the same batches
+// re-split into one-line spans, both when all page sizes replay in one
+// fused group and when each replays in a group of its own. A line-only
+// model replayed alone takes the count path and must produce the Result it
+// produces beside a span model.
 func FuzzSpanSplit(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(seed, uint8(seed))
@@ -251,6 +261,34 @@ func FuzzSpanSplit(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, exp) {
 			t.Fatalf("engine line sequence (%d lines) differs from the lane expansion (%d lines)", len(rec.lines), len(want))
+		}
+		if rec.badSums != 0 {
+			t.Errorf("%d span-path batches carry a Lines that is not the sum of their spans' N", rec.badSums)
+		}
+		// A line-only model replayed alone takes the count path; beside a
+		// model that reads page pieces, the span path.
+		model := func(kind Kind) engine.Model {
+			m, err := New(kind, prog, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		alone, beside := &lineCounter{}, &lineCounter{}
+		engine.Run(prog, alone)
+		count := engine.Run(prog, model(KindInfinite))
+		spans := engine.RunFused(prog, []engine.Model{model(KindMemcpy), beside, model(KindInfinite)}, nil)[2]
+		var refLines uint64
+		for _, l := range want {
+			if l.op != trace.OpFence {
+				refLines++
+			}
+		}
+		if alone.lines != refLines || beside.lines != refLines {
+			t.Errorf("line counts: count path %d, span path %d, lane expansion %d", alone.lines, beside.lines, refLines)
+		}
+		if !reflect.DeepEqual(count, spans) {
+			t.Errorf("infiniteBW: the count path differs from the span path\ncount: %+v\nspans: %+v", count, spans)
 		}
 		for i := 0; i < len(res); i += 2 {
 			group, name := "mixed", names[i/2%len(names)]
